@@ -15,14 +15,14 @@ test: build
 # accidental sharing from tests), and the observability layer that serves
 # concurrent scrapers against a running simulation. The cpu and data-plane
 # equivalence soaks (internal/experiments) also run here, plus the
-# request-trace parallel-determinism check: any Precise/Fused/Compiled or
+# request-trace parallel-determinism check: any Precise/Compiled or
 # coalesced/per-page divergence, and any worker-count-dependent request
 # summary, is a release blocker.
 race:
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecFusedMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
 
-# A short bounded differential-fuzz pass over the three execution engines;
+# A short bounded differential-fuzz pass over the two execution engines;
 # the checked-in corpus under internal/cpu/testdata/fuzz seeds it with
 # kernel-shaped programs.
 fuzz-smoke:
@@ -55,7 +55,7 @@ ci:
 	go build ./...
 	go test ./...
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecFusedMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
 	scripts/alloc-gate.sh
 	scripts/serve-smoke.sh

@@ -58,7 +58,7 @@ func main() {
 		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
 		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
 		parallel = flag.Int("parallel", runpool.DefaultWorkers(), "max concurrent simulation runs (1 = sequential; results are identical)")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
+		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default) or precise (the per-instruction oracle; results are identical)")
 		plane    = flag.String("dataplane", "coalesced", "firmware delivery event structure: coalesced (default) or perpage (results are identical)")
 		jsonDir  = flag.String("json", "", "directory to write BENCH_<exp>.json result files into")
 		tracePth = flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto; forces -parallel 1)")
@@ -509,26 +509,5 @@ func writeJSON(dir, name string, cfg experiments.Config, rows any, wall float64,
 		return err
 	}
 	b = append(b, '\n')
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), b, 0o644); err != nil {
-		return err
-	}
-	// When run from the repo root with a different -json directory, refresh
-	// the checked-in bench/BENCH_<exp>.json trajectory file too — but only
-	// if it already exists, so tests and scratch runs never create it.
-	traj := filepath.Join("bench", "BENCH_"+name+".json")
-	if sameDir(dir, "bench") {
-		return nil
-	}
-	if _, err := os.Stat(traj); err != nil {
-		return nil
-	}
-	return os.WriteFile(traj, b, 0o644)
-}
-
-// sameDir reports whether two directory paths resolve to the same absolute
-// location (best-effort; errors mean "different").
-func sameDir(a, b string) bool {
-	aa, errA := filepath.Abs(a)
-	bb, errB := filepath.Abs(b)
-	return errA == nil && errB == nil && aa == bb
+	return os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), b, 0o644)
 }

@@ -121,17 +121,19 @@ func TestCLITimelineAndDiff(t *testing.T) {
 	}
 }
 
-// TestCLIJSONRefreshesTrajectory checks the bench/BENCH_<exp>.json refresh:
-// when the file exists relative to the working directory and -json points
-// elsewhere, both copies are written with identical bytes.
-func TestCLIJSONRefreshesTrajectory(t *testing.T) {
+// TestCLIJSONLeavesBaselineAlone checks that -json writes only into its
+// own directory: a committed bench/BENCH_<exp>.json next to the working
+// directory stays byte-identical, so comparing a fresh run against the
+// baselines never rewrites them.
+func TestCLIJSONLeavesBaselineAlone(t *testing.T) {
 	bin := buildBench(t)
 	work := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(work, "bench"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	traj := filepath.Join(work, "bench", "BENCH_table5.json")
-	if err := os.WriteFile(traj, []byte("stale\n"), 0o644); err != nil {
+	baseline := filepath.Join(work, "bench", "BENCH_table5.json")
+	const committed = "committed baseline\n"
+	if err := os.WriteFile(baseline, []byte(committed), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,34 +145,31 @@ func TestCLIJSONRefreshesTrajectory(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("%v\n%s", err, stderr.String())
 	}
-	got, err := os.ReadFile(traj)
+	if _, err := os.Stat(filepath.Join(work, "out", "BENCH_table5.json")); err != nil {
+		t.Fatalf("-json output not written: %v", err)
+	}
+	got, err := os.ReadFile(baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(got), "stale") {
-		t.Error("trajectory file not refreshed")
+	if string(got) != committed {
+		t.Errorf("baseline rewritten by -json out:\n%s", got)
 	}
-	want, err := os.ReadFile(filepath.Join(work, "out", "BENCH_table5.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("trajectory copy differs from -json output")
-	}
+}
 
-	// Without an existing trajectory file nothing is created.
-	if err := os.Remove(traj); err != nil {
-		t.Fatal(err)
-	}
-	cmd = exec.Command(bin, "-exp", "table5", "-quick", "-json", "out")
-	cmd.Dir = work
+// TestCLIRejectsFusedExec checks that the removed fused engine is no longer
+// a valid -exec value.
+func TestCLIRejectsFusedExec(t *testing.T) {
+	bin := buildBench(t)
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-exp", "table5", "-quick", "-exec", "fused")
 	cmd.Stdout = new(bytes.Buffer)
 	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	if err := cmd.Run(); err == nil {
+		t.Fatal("-exec fused accepted")
 	}
-	if _, err := os.Stat(traj); !os.IsNotExist(err) {
-		t.Errorf("trajectory file created from nothing (stat err %v)", err)
+	if s := stderr.String(); !strings.Contains(s, "compiled") || !strings.Contains(s, "precise") {
+		t.Errorf("stderr %q does not name the valid modes", s)
 	}
 }
 

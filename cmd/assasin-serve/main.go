@@ -62,7 +62,7 @@ func main() {
 		cores    = flag.Int("cores", 0, "override compute engine count")
 		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
 		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
+		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default) or precise (the per-instruction oracle; results are identical)")
 		once     = flag.Bool("once", false, "exit once the experiments finish instead of serving until interrupted")
 		requests = flag.Int("requests", 8, "retain the K slowest requests per run for /runs/{id}/requests (0 = off)")
 		kprofOn  = flag.Bool("kprof", true, "profile guest kernels per run for /runs/{id}/profile and /runs/{id}/profile.pb.gz")

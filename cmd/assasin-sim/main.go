@@ -50,7 +50,7 @@ func main() {
 		cores    = flag.Int("cores", 8, "compute engines")
 		adjusted = flag.Bool("adjusted", false, "apply Fig 20 timing adjustments")
 		seed     = flag.Int64("seed", 1, "input data seed")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
+		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default) or precise (the per-instruction oracle; results are identical)")
 		plane    = flag.String("dataplane", "coalesced", "firmware delivery event structure: coalesced (default) or perpage (results are identical)")
 		tracePth = flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto)")
 		metrPth  = flag.String("metrics", "", "write a flat telemetry metrics JSON file")

@@ -1,26 +1,37 @@
 package cpu
 
 // Ahead-of-time translation (ExecCompiled): the default interpreter
-// strategy. At program-load time — after the fused engine's basic-block
-// partition (fused.go) — the decoded instruction stream is translated to
-// threaded code: one specialized Go closure per instruction form with
-// registers, immediates, stream slots and cycle counts pre-resolved.
-// Straight ALU runs become a single pre-composed closure executed with one
-// time/stats accumulation; pure-ALU loop bodies become a closed-form
-// multi-iteration kernel; every other recognized loop body becomes a chain
-// of bodyFn closures driven by runLoop in place of its decode switch.
+// strategy and the only fast path; ExecPrecise (step, cpu.go) is its oracle.
+// At program-load time the decoded instruction stream goes through three
+// stages:
 //
-// The timing-equivalence contract of the fused engine carries over
-// unchanged: every translated path reproduces exactly the c.at advance,
-// Stats deltas, and blocking/halting behavior of the equivalent sequence of
-// step() calls, so Precise, Fused and Compiled runs are byte-identical
-// (enforced by the three-way equivalence soak in internal/experiments and
-// the differential fuzz harness in this package). Translation happens at
-// load time — not lazily — so a core's execution is a pure function of the
-// loaded program and its inputs, which keeps runs deterministic and
-// resumable. See DESIGN.md, "Ahead-of-time translation".
+//   - analysis partitions it into straight ALU runs and recognized
+//     stream-loop bodies (analyzeProgram, buildLoop);
+//   - translation turns it into threaded code: one specialized Go closure
+//     per instruction form with registers, immediates, stream slots and
+//     cycle counts pre-resolved. Straight ALU runs become a single
+//     pre-composed closure, pure-ALU loop bodies a closed-form
+//     multi-iteration kernel, every other recognized loop body a chain of
+//     bodyFn closures (compileProgram);
+//   - the drivers (runALUBlock, runLoop) execute that code with one
+//     time/stats accumulation per ALU run and loop iterations against
+//     pre-validated stream windows, without re-crossing the memhier.System
+//     wrappers per byte.
+//
+// Timing is byte-identical to ExecPrecise: every translated path reproduces
+// exactly the c.at advance, Stats deltas, and blocking/halting behavior of
+// the equivalent sequence of step() calls, and every Run call returns at the
+// same local-time boundary — so the scheduler interleaving, and with it
+// every shared-resource (DRAM, flash) access order, is unchanged. The
+// equivalence soak in internal/experiments and the differential fuzz harness
+// in this package enforce it. Translation happens at load time — not lazily
+// — so a core's execution is a pure function of the loaded program and its
+// inputs, which keeps runs deterministic and resumable. See DESIGN.md,
+// "Compiled execution engine".
 
 import (
+	"fmt"
+
 	"assasin/internal/isa"
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
@@ -31,7 +42,7 @@ type regs = [isa.NumRegs]uint32
 
 // aluFn is one translated ALU instruction: a pure register-file effect with
 // rd/rs1/rs2/immediate pre-resolved. Timing and stats are accumulated in
-// bulk by the caller, exactly like execALUBlock.
+// bulk by the caller.
 type aluFn func(r *regs)
 
 // loopKernel executes m identical iterations of a pure-ALU loop body — the
@@ -59,28 +70,167 @@ const (
 // boundary), and returns the next pc plus the exit disposition.
 type bodyFn func(c *Core, vpc int, limit sim.Time) (int, ctl)
 
-// compiledProgram is the load-time translation of one decoded program, per
-// pc: the specialized ALU closure, the pre-composed whole-run closure where
-// a straight ALU run starts, the multi-iteration kernel for pure-ALU loop
-// heads, and the threaded-code body for recognized loop heads.
-type compiledProgram struct {
-	alu     []aluFn
-	blocks  []aluFn
-	kernels []loopKernel
-	bodies  [][]bodyFn
+// streamNeed is the worst-case byte requirement of one loop iteration
+// against one stream slot.
+type streamNeed struct {
+	slot int
+	need int64
 }
 
-// compileProgram translates the decoded program. It requires the fused
-// analysis (c.aluRun, c.loops) to be in place.
+// loopInfo describes a recognized loop: a backward branch/jal at end
+// targeting head, whose body consists only of operations the translator
+// covers (ALU/mul/div, loads/stores, stream ops with compile-time extents,
+// forward branches, halt). ins/outs give the per-iteration worst-case
+// stream consumption/production used to pre-check that a whole iteration
+// cannot block.
+type loopInfo struct {
+	head, end int
+	bodyLen   int64 // instruction-budget bound per iteration
+	ins       []streamNeed
+	outs      []streamNeed
+	// pureALU marks a body that is one straight ALU run closed by an
+	// unconditional x0-linked jal: iterations are identical in time and
+	// effect, so runLoop batches as many as fit the quantum in one pass
+	// through kernel.
+	pureALU bool
+	kernel  loopKernel
+	// body is the threaded code for [head, end], indexed by pc-head.
+	body []bodyFn
+}
+
+// compiledProgram is the load-time translation of one decoded program, per
+// pc: the straight ALU run length, the recognized loop headed there, the
+// specialized ALU closure, and the pre-composed whole-run closure where a
+// straight ALU run starts.
+type compiledProgram struct {
+	aluRun []int32
+	loops  []*loopInfo
+	alu    []aluFn
+	blocks []aluFn
+}
+
+// analyzeProgram partitions a decoded program: per-pc straight ALU run
+// lengths and recognized loop bodies.
+func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
+	n := len(dec)
+	aluRun := make([]int32, n+1)
+	for i := n - 1; i >= 0; i-- {
+		if dec[i].class == isa.ClassALU {
+			aluRun[i] = aluRun[i+1] + 1
+		}
+	}
+	loops := make([]*loopInfo, n)
+	for e := 0; e < n; e++ {
+		in := &dec[e]
+		back := false
+		switch in.class {
+		case isa.ClassBranch:
+			back = in.imm < 0
+		case isa.ClassJump:
+			back = in.op == isa.OpJal && in.imm < 0
+		}
+		if !back {
+			continue
+		}
+		head := e + int(in.imm)
+		if head < 0 || loops[head] != nil {
+			continue
+		}
+		li := buildLoop(dec, head, e)
+		if li != nil && e > head && int(aluRun[head]) == e-head &&
+			in.class == isa.ClassJump && in.rd == 0 {
+			li.pureALU = true
+		}
+		loops[head] = li
+	}
+	return aluRun[:n], loops
+}
+
+// buildLoop validates the body [head, end] and computes its per-slot stream
+// needs; it returns nil when any instruction is outside the subset
+// compileBodyElem translates. The two switches accept exactly the same
+// instruction classes, so every accepted body translates.
+func buildLoop(dec []decoded, head, end int) *loopInfo {
+	consume := map[int]int64{} // StreamLoad widths + Adv amounts per in slot
+	peek := map[int]int64{}    // max Peek extent (off+width) per in slot
+	produce := map[int]int64{} // StreamStore widths per out slot
+	for i := head; i <= end; i++ {
+		in := &dec[i]
+		switch in.class {
+		case isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassLoad, isa.ClassStore, isa.ClassHalt:
+			// Always translatable: loads/stores go through the same
+			// memhier.System calls as precise stepping.
+		case isa.ClassBranch:
+			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
+				return nil // inner backward branch: let the outer loop win
+			}
+		case isa.ClassJump:
+			if in.op != isa.OpJal {
+				return nil // jalr targets are data-dependent
+			}
+			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
+				return nil
+			}
+		case isa.ClassStreamLoad:
+			s := int(in.stream)
+			if in.op == isa.OpStreamLoad {
+				consume[s] += int64(in.width)
+			} else { // StreamPeek
+				if in.imm < 0 {
+					return nil
+				}
+				if ext := int64(in.imm) + int64(in.width); ext > peek[s] {
+					peek[s] = ext
+				}
+			}
+		case isa.ClassStreamStore:
+			produce[int(in.stream)] += int64(in.width)
+		case isa.ClassStreamCtl:
+			switch in.op {
+			case isa.OpStreamAdv:
+				if in.imm < 0 {
+					return nil
+				}
+				consume[int(in.stream)] += int64(in.imm) * int64(in.width)
+			case isa.OpStreamEnd:
+				// Computed exactly from Head/Tail/closed state.
+			case isa.OpStreamCsrR:
+				if in.imm != 0 && in.imm != 1 {
+					return nil
+				}
+			default:
+				return nil
+			}
+		default:
+			return nil
+		}
+	}
+	li := &loopInfo{head: head, end: end, bodyLen: int64(end - head + 1)}
+	for s := range peek {
+		if _, ok := consume[s]; !ok {
+			consume[s] = 0 // peek-only slot still needs an entry
+		}
+	}
+	for s, n := range consume {
+		// At any point in an iteration, bytes needed past the entry Head are
+		// bounded by the total consumption plus the largest peek extent.
+		li.ins = append(li.ins, streamNeed{slot: s, need: n + peek[s]})
+	}
+	for s, n := range produce {
+		li.outs = append(li.outs, streamNeed{slot: s, need: n})
+	}
+	return li
+}
+
+// compileProgram analyzes and translates the decoded program c.dec.
 func (c *Core) compileProgram() *compiledProgram {
 	dec := c.dec
 	n := len(dec)
 	cp := &compiledProgram{
-		alu:     make([]aluFn, n),
-		blocks:  make([]aluFn, n),
-		kernels: make([]loopKernel, n),
-		bodies:  make([][]bodyFn, n),
+		alu:    make([]aluFn, n),
+		blocks: make([]aluFn, n),
 	}
+	cp.aluRun, cp.loops = analyzeProgram(dec)
 	for i := range dec {
 		if dec[i].class == isa.ClassALU {
 			cp.alu[i] = compileALU(&dec[i])
@@ -90,48 +240,39 @@ func (c *Core) compileProgram() *compiledProgram {
 	// suffix-closed (a branch may enter mid-run), so this covers every
 	// entry point runALUBlock can see.
 	for i := 0; i < n; i++ {
-		if r := int(c.aluRun[i]); r > 1 {
+		if r := int(cp.aluRun[i]); r > 1 {
 			cp.blocks[i] = seqALU(cp.alu[i : i+r])
 		}
 	}
-	for h, li := range c.loops {
+	for _, li := range cp.loops {
 		if li == nil {
 			continue
 		}
 		if li.pureALU {
-			cp.kernels[h] = loopKernelOf(cp.alu[li.head:li.end])
+			li.kernel = loopKernelOf(cp.alu[li.head:li.end])
 		}
-		cp.bodies[h] = c.compileBody(li)
+		li.body = c.compileBody(li, cp.aluRun)
 	}
 	return cp
 }
 
-// compileBody translates a recognized loop body to threaded code; nil means
-// an untranslatable instruction was found and runLoop keeps its decode
-// switch for this loop (cannot happen for bodies buildLoop accepted, kept
-// as a defensive fallback).
+// compileBody translates a recognized loop body to threaded code.
 //
 // Beyond per-instruction closures, straight-line elements are composed into
-// suffix chains: bodies[i] executes from i through the next control-flow
+// suffix chains: body[i] executes from i through the next control-flow
 // instruction in one call, so a typical iteration (ALU run, stream ops,
 // back edge) costs one driver dispatch instead of one per instruction. A
 // chain hands off to its successor only on a clean fall-through
 // (ctlNext, the statically expected next pc, and local time still within
 // the quantum), so blocking, faults, clamped ALU runs and the per-
 // instruction issue rule all behave exactly as in per-step dispatch.
-func (c *Core) compileBody(li *loopInfo) []bodyFn {
+func (c *Core) compileBody(li *loopInfo, aluRun []int32) []bodyFn {
 	n := li.end - li.head + 1
 	elems := make([]bodyFn, n)
 	sizes := make([]int, n)
 	ctrl := make([]bool, n)
 	for i := li.head; i <= li.end; i++ {
-		f, size, isCtrl := c.compileBodyInst(i)
-		if f == nil {
-			return nil
-		}
-		elems[i-li.head] = f
-		sizes[i-li.head] = size
-		ctrl[i-li.head] = isCtrl
+		elems[i-li.head], sizes[i-li.head], ctrl[i-li.head] = c.compileBodyInst(i, int(aluRun[i]))
 	}
 	chains := make([]bodyFn, n)
 	for i := n - 1; i >= 0; i-- {
@@ -156,80 +297,36 @@ func chainBody(f, g bodyFn, size int) bodyFn {
 	}
 }
 
-// countInst accrues the per-instruction counters shared by every retired
-// instruction.
-func (c *Core) countInst(cl isa.Class) {
-	c.stats.Instructions++
-	c.stats.ByClass[cl]++
-}
-
-// streamRetire advances time for the pre-validated stream access at pc
-// exactly like the fused loop path: busy one cycle, plus StreamExtraCycles
-// charged to kind.
-func (c *Core) streamRetire(pc int, t0 sim.Time, kind StallKind) {
-	var extra sim.Time
-	if c.sys.StreamExtraCycles > 0 {
-		extra = c.sys.Clock.Cycles(int64(c.sys.StreamExtraCycles))
-		c.stats.StallTime[kind] += extra
-	}
-	period := c.cfg.Clock.Period
-	c.stats.BusyTime += period
-	if c.prof != nil {
-		c.prof.Record(pc, period, int(kind), extra)
-	}
-	c.at = t0 + extra + period
-}
-
-// branchStep commits a resolved branch: pc arithmetic, taken/not-taken
-// cycles, and instruction accounting. Shared by the six specialized branch
-// closures.
-func (c *Core) branchStep(vpc int, taken bool, delta int) int {
-	t0 := c.at
-	var cycles, nv int
-	if taken {
-		nv = vpc + delta
-		cycles = c.takenCycles
-	} else {
-		nv = vpc + 1
-		cycles = c.notTakenCycles
-	}
-	if cycles > 0 {
-		c.retireCycles(vpc, t0, cycles)
-	} else if c.prof != nil {
-		c.prof.Insts(vpc, 1)
-	}
-	c.countInst(isa.ClassBranch)
-	return nv
-}
-
-// compileBodyInst translates the instruction at pc into its loop-body
-// closure plus its chaining metadata: the static pc advance of a clean
-// fall-through (the run length for ALU runs, 1 otherwise) and whether the
-// element is control flow (branch/jump/halt — chain terminators).
-func (c *Core) compileBodyInst(pc int) (bodyFn, int, bool) {
+// compileBodyInst translates the instruction at pc (heading a straight ALU
+// run of length run) into its loop-body closure plus its chaining metadata:
+// the static pc advance of a clean fall-through (the run length for ALU
+// runs, 1 otherwise) and whether the element is control flow
+// (branch/jump/halt — chain terminators).
+func (c *Core) compileBodyInst(pc, run int) (bodyFn, int, bool) {
 	in := &c.dec[pc]
 	size, ctrl := 1, false
 	switch in.class {
 	case isa.ClassBranch, isa.ClassJump, isa.ClassHalt:
 		ctrl = true
 	case isa.ClassALU:
-		if n := int(c.aluRun[pc]); n > 1 {
-			size = n
+		if run > 1 {
+			size = run
 		}
 	}
-	return c.compileBodyElem(pc), size, ctrl
+	return c.compileBodyElem(pc, run), size, ctrl
 }
 
-// compileBodyElem builds the closure itself. The arms mirror runLoop's
-// decode switch one-for-one; any timing or accounting drift between the two
-// is caught by the equivalence soak and the differential fuzz harness.
-func (c *Core) compileBodyElem(pc int) bodyFn {
+// compileBodyElem builds the closure itself. Each arm reproduces the timing
+// and accounting of the matching arm of Core.step for a body whose stream
+// accesses runLoop has pre-validated; any drift between the two is caught
+// by the equivalence soak and the differential fuzz harness.
+func (c *Core) compileBodyElem(pc, run int) bodyFn {
 	in := &c.dec[pc]
 	switch in.class {
 	case isa.ClassALU:
-		if n := int(c.aluRun[pc]); n > 1 {
+		if run > 1 {
 			return func(c *Core, vpc int, limit sim.Time) (int, ctl) {
-				return c.runALUBlock(vpc, n, limit), ctlNext
+				return c.runALUBlock(vpc, run, limit), ctlNext
 			}
 		}
 		f := compileALU(in)
@@ -475,13 +572,12 @@ func (c *Core) compileBodyElem(pc int) bodyFn {
 			return vpc, ctlHalted
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("cpu: loop body at pc %d has untranslatable class %d (%v); buildLoop must reject it", pc, in.class, in.op))
 }
 
 // compileALU specializes one ALU instruction to a register-file effect. The
-// op semantics mirror Core.alu / execALUBlock (kept in sync); rd == x0
-// writes are dropped at translation time since ALU ops have no other
-// architectural effect.
+// op semantics mirror Core.alu (kept in sync); rd == x0 writes are dropped
+// at translation time since ALU ops have no other architectural effect.
 func compileALU(in *decoded) aluFn {
 	rd, rs1, rs2 := in.rd, in.rs1, in.rs2
 	imm := in.imm
@@ -650,4 +746,229 @@ func loopKernelOf(fns []aluFn) loopKernel {
 			}
 		}
 	}
+}
+
+// countInst accrues the per-instruction counters shared by every retired
+// instruction.
+func (c *Core) countInst(cl isa.Class) {
+	c.stats.Instructions++
+	c.stats.ByClass[cl]++
+}
+
+// streamRetire advances time for the pre-validated stream access at pc:
+// busy one cycle, plus StreamExtraCycles charged to kind — what precise
+// stepping charges for a stream access that resolves at its issue time.
+func (c *Core) streamRetire(pc int, t0 sim.Time, kind StallKind) {
+	var extra sim.Time
+	if c.sys.StreamExtraCycles > 0 {
+		extra = c.sys.Clock.Cycles(int64(c.sys.StreamExtraCycles))
+		c.stats.StallTime[kind] += extra
+	}
+	period := c.cfg.Clock.Period
+	c.stats.BusyTime += period
+	if c.prof != nil {
+		c.prof.Record(pc, period, int(kind), extra)
+	}
+	c.at = t0 + extra + period
+}
+
+// branchStep commits a resolved branch: pc arithmetic, taken/not-taken
+// cycles, and instruction accounting. Shared by the six specialized branch
+// closures.
+func (c *Core) branchStep(vpc int, taken bool, delta int) int {
+	t0 := c.at
+	var cycles, nv int
+	if taken {
+		nv = vpc + delta
+		cycles = c.takenCycles
+	} else {
+		nv = vpc + 1
+		cycles = c.notTakenCycles
+	}
+	if cycles > 0 {
+		c.retireCycles(vpc, t0, cycles)
+	} else if c.prof != nil {
+		c.prof.Insts(vpc, 1)
+	}
+	c.countInst(isa.ClassBranch)
+	return nv
+}
+
+// runALUBlock executes up to n consecutive ALU instructions starting at pc
+// as one step: register updates in sequence, then a single c.at advance and
+// one BusyTime/Instructions accumulation. The executed count is clamped so
+// that, exactly like precise stepping, an instruction issues iff its start
+// time is <= limit and the instruction budget is never exceeded. It returns
+// the next pc.
+func (c *Core) runALUBlock(pc, n int, limit sim.Time) int {
+	period := c.cfg.Clock.Period
+	whole := n
+	if rem := c.maxInsts - c.stats.Instructions; int64(n) > rem {
+		n = int(rem)
+	}
+	// Instruction i of the block issues at c.at + i*period and, like precise
+	// stepping, executes iff that start time is <= limit. The division only
+	// runs when the block straddles the quantum boundary.
+	if c.at+sim.Time(n-1)*period > limit {
+		n = int(int64((limit-c.at)/period)) + 1
+	}
+	// The whole run is one pre-composed closure; a run clamped by the
+	// quantum or instruction budget sweeps the per-instruction closures
+	// instead.
+	cp := c.cp
+	if n == whole && cp.blocks[pc] != nil {
+		cp.blocks[pc](&c.regs)
+	} else {
+		for _, f := range cp.alu[pc : pc+n] {
+			f(&c.regs)
+		}
+	}
+	nt := sim.Time(n) * period
+	c.at += nt
+	c.stats.BusyTime += nt
+	c.stats.Instructions += int64(n)
+	c.stats.ByClass[isa.ClassALU] += int64(n)
+	if c.prof != nil {
+		// One O(1) range update for the whole run; the snapshot's prefix
+		// sum spreads it back over [pc, pc+n) at one issue cycle each,
+		// exactly what precise stepping records.
+		c.prof.BulkALU(pc, n)
+	}
+	return pc + n
+}
+
+// loopExit reports how a loop execution ended.
+type loopExit int
+
+const (
+	// loopNoProgress: no instruction ran (stream budget or instruction
+	// budget short at iteration entry); the caller must fall back to
+	// per-instruction stepping to guarantee forward progress.
+	loopNoProgress loopExit = iota
+	// loopProgress: >= 1 instruction ran; c.pc/c.at/stats are committed.
+	loopProgress
+	// loopBlockedExit: a load/store blocked mid-iteration (c.blockKind set,
+	// c.pc at the blocked instruction), after possibly running instructions.
+	loopBlockedExit
+	// loopHaltedExit: the program halted (cleanly or by error).
+	loopHaltedExit
+)
+
+// runLoop executes iterations of a recognized loop body while (a) the local
+// clock has not passed limit, (b) the instruction budget admits a full
+// iteration, and (c) BulkAvail/window-room pre-checks prove the iteration's
+// stream operations cannot block. Under (c), every StreamLoad/Peek resolves
+// at its issue time (the needed bytes were usable at iteration entry, and
+// availability is monotone), so stream ops bypass the memhier wrappers while
+// accruing the identical timing: busy one cycle plus StreamExtraCycles of
+// stream-wait (in) or out-full (out) stall. Loads and stores still go
+// through memhier.System — their timing is stateful (caches, DRAM) — and the
+// per-instruction limit check inside the body reproduces precise stepping's
+// stop-at-quantum behavior exactly.
+func (c *Core) runLoop(li *loopInfo, limit sim.Time) loopExit {
+	sys := c.sys
+	if sys.Streams == nil && (len(li.ins) > 0 || len(li.outs) > 0) {
+		return loopNoProgress
+	}
+	for _, sn := range li.ins {
+		if sn.slot >= len(sys.Streams.In) {
+			return loopNoProgress // slow path raises the precise error
+		}
+	}
+	for _, sn := range li.outs {
+		if sn.slot >= len(sys.Streams.Out) {
+			return loopNoProgress
+		}
+	}
+	period := c.cfg.Clock.Period
+	// Hoisted slice header: the compiler cannot cache it across the opaque
+	// closure calls below, and the body is indexed on every dispatch.
+	body := li.body
+	progress := false
+
+	// Pure-ALU loops with a free back-edge have identical iterations: batch
+	// every full iteration that fits the quantum and instruction budget in
+	// one pass, then let the generic loop below run the partial tail with
+	// per-instruction limit checks. Iteration m's jal issues at
+	// c.at + n*m*period, so m full iterations fit iff n*m*period stays
+	// within the quantum.
+	if li.pureALU && c.jumpCycles == 0 {
+		n := int64(li.end - li.head)
+		m := int64(limit-c.at) / int64(period) / n
+		if rem := (c.maxInsts - c.stats.Instructions) / (n + 1); m > rem {
+			m = rem
+		}
+		if m > 0 {
+			li.kernel(&c.regs, m)
+			nt := sim.Time(n*m) * period
+			c.at += nt
+			c.stats.BusyTime += nt
+			c.stats.Instructions += (n + 1) * m
+			c.stats.ByClass[isa.ClassALU] += n * m
+			c.stats.ByClass[isa.ClassJump] += m
+			if c.prof != nil {
+				// m executions of the ALU body plus m zero-cycle back-edge
+				// jals (this batch only runs when jumpCycles == 0, where
+				// precise stepping records the jal as time-free too).
+				c.prof.BulkRange(li.head, li.end, m)
+				c.prof.Insts(li.end, m)
+			}
+			progress = true
+		}
+	}
+
+iterations:
+	for c.at <= limit {
+		if c.stats.Instructions+li.bodyLen > c.maxInsts {
+			break
+		}
+		for _, sn := range li.ins {
+			if sys.Streams.In[sn.slot].BulkAvail(c.at) < sn.need {
+				break iterations
+			}
+		}
+		for _, sn := range li.outs {
+			st := sys.Streams.Out[sn.slot]
+			if int64(st.WindowBytes()-st.Buffered()) < sn.need {
+				break iterations
+			}
+		}
+		vpc := li.head
+		for {
+			if c.at > limit {
+				c.pc = vpc
+				return loopProgress
+			}
+			// nv is where execution stopped: past the chain on a clean
+			// fall-through, at the blocked instruction on a block.
+			nv, s := body[vpc-li.head](c, vpc, limit)
+			switch s {
+			case ctlNext:
+			case ctlBlockedStream:
+				c.blockKind = StallStreamWait
+				c.pc = nv
+				return loopBlockedExit
+			case ctlBlockedOut:
+				c.blockKind = StallOutFull
+				c.pc = nv
+				return loopBlockedExit
+			default: // ctlHalted: pc and halt state set by the closure
+				return loopHaltedExit
+			}
+			vpc = nv
+			progress = true
+			if vpc == li.head {
+				continue iterations
+			}
+			if vpc < li.head || vpc > li.end {
+				c.pc = vpc // a forward branch left the body
+				return loopProgress
+			}
+		}
+	}
+	c.pc = li.head
+	if progress {
+		return loopProgress
+	}
+	return loopNoProgress
 }

@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"assasin/internal/asm"
+	"assasin/internal/isa"
 	"assasin/internal/sim"
 )
 
 // execModes lists every interpreter strategy, reference first.
-var execModes = []ExecMode{ExecPrecise, ExecFused, ExecCompiled}
+var execModes = []ExecMode{ExecPrecise, ExecCompiled}
 
 // TestCoreZeroAllocPerStep proves the per-step hot path allocates nothing in
 // any execution mode with telemetry disabled — the compiled engine's
 // closures are all built at load time, so steady-state dispatch must stay
-// allocation-free like the switch interpreters.
+// allocation-free like the precise switch interpreter.
 func TestCoreZeroAllocPerStep(t *testing.T) {
 	bb := asm.New()
 	loop := bb.Here()
@@ -46,7 +47,7 @@ func TestCoreZeroAllocPerStep(t *testing.T) {
 
 // TestCompiledMatchesPreciseStreamLoop runs a blocking stream loop — data
 // arriving in small pushes, output drained late, small dispatch quanta — in
-// all three modes and requires identical final registers, Stats, local time
+// both modes and requires identical final registers, Stats, local time
 // and output bytes. This covers the block/retry paths (stream-wait and
 // out-full) that the whole-experiment soak only reaches through the
 // firmware.
@@ -121,10 +122,36 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 			out:    collected,
 		}
 	}
-	ref := results[ExecPrecise]
-	for _, mode := range []ExecMode{ExecFused, ExecCompiled} {
-		if !reflect.DeepEqual(results[mode], ref) {
-			t.Errorf("%v diverges from precise:\nprecise: %+v\n%v: %+v", mode, ref, mode, results[mode])
+	if ref, got := results[ExecPrecise], results[ExecCompiled]; !reflect.DeepEqual(got, ref) {
+		t.Errorf("compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", ref, got)
+	}
+}
+
+// TestLoopTranslationTotal pins the contract between analysis and
+// translation: every one-instruction loop body buildLoop accepts translates
+// without reaching compileBodyElem's panic, for every defined op, and every
+// instruction class has an accepted form.
+func TestLoopTranslationTotal(t *testing.T) {
+	c := New(DefaultConfig("total"), newTestSystem())
+	classes := map[isa.Class]bool{}
+	for _, op := range isa.Ops() {
+		c.dec = []decoded{
+			decode(isa.Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Width: 4, Imm: 1}),
+			decode(isa.Inst{Op: isa.OpJal, Imm: -1}),
+		}
+		cp := c.compileProgram()
+		li := cp.loops[0]
+		if li == nil {
+			continue
+		}
+		if len(li.body) != 2 {
+			t.Errorf("%v: loop body has %d closures, want 2", op, len(li.body))
+		}
+		classes[op.Class()] = true
+	}
+	for cl := isa.ClassALU; cl <= isa.ClassHalt; cl++ {
+		if !classes[cl] {
+			t.Errorf("no op of class %d forms a translatable loop body", cl)
 		}
 	}
 }

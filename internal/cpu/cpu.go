@@ -35,11 +35,52 @@ type Config struct {
 	// MaxInstructions aborts runaway programs (0 = default guard).
 	MaxInstructions int64
 	// Exec selects the interpreter strategy: ExecCompiled (default)
-	// translates the program to threaded code at load time, ExecFused runs
-	// basic blocks and recognized stream loops as macro-steps through the
-	// decode switch, ExecPrecise forces per-instruction stepping. All three
-	// produce byte-identical timing and results.
+	// translates the program to threaded code at load time, ExecPrecise
+	// forces per-instruction stepping and is the compiled engine's oracle.
+	// Both produce byte-identical timing and results.
 	Exec ExecMode
+}
+
+// ExecMode selects the interpreter strategy.
+type ExecMode int
+
+const (
+	// ExecCompiled (default) translates the decoded program to threaded
+	// code at load time: basic-block ALU runs and recognized stream-loop
+	// bodies become chains of specialized closures with registers and
+	// immediates pre-resolved, executed with timing identical to precise
+	// stepping (see compiled.go).
+	ExecCompiled ExecMode = iota
+	// ExecPrecise interprets one instruction per step — the reference
+	// semantics and the equivalence oracle for ExecCompiled.
+	ExecPrecise
+)
+
+// ExecFused names the removed fused engine.
+//
+// Deprecated: the fused engine is gone; use ExecCompiled.
+const ExecFused = ExecCompiled
+
+// String implements fmt.Stringer.
+func (m ExecMode) String() string {
+	if m == ExecPrecise {
+		return "precise"
+	}
+	return "compiled"
+}
+
+// ParseExecMode maps a CLI string to an ExecMode; unknown values get an
+// error naming the valid modes (shared by assasin-sim, assasin-bench and
+// assasin-serve so their -exec flags reject garbage identically).
+func ParseExecMode(s string) (ExecMode, error) {
+	switch s {
+	case "compiled":
+		return ExecCompiled, nil
+	case "precise":
+		return ExecPrecise, nil
+	default:
+		return ExecCompiled, fmt.Errorf("unknown exec mode %q (valid: compiled, precise)", s)
+	}
 }
 
 // DefaultConfig returns 1 GHz ibex-like timing.
@@ -143,14 +184,9 @@ type Core struct {
 	dec     []decoded
 	decFrom *asm.Program // program the decode cache was built from
 
-	// Fused-execution metadata, rebuilt with the decode cache (fused.go):
-	// aluRun[i] is the length of the straight ALU run starting at i, and
-	// loops[i] non-nil marks i as the head of a recognized stream loop.
-	aluRun []int32
-	loops  []*loopInfo
-	// comp is the load-time threaded-code translation (compiled.go);
-	// non-nil only under ExecCompiled.
-	comp *compiledProgram
+	// cp is the load-time threaded-code translation, rebuilt with the
+	// decode cache (compiled.go); nil iff the mode is ExecPrecise.
+	cp *compiledProgram
 
 	regs   [isa.NumRegs]uint32
 	pc     int
@@ -245,12 +281,9 @@ func (c *Core) LoadProgram(p *asm.Program) {
 		for i, in := range p.Insts {
 			c.dec[i] = decode(in)
 		}
-		c.aluRun, c.loops, c.comp = nil, nil, nil
+		c.cp = nil
 		if c.cfg.Exec != ExecPrecise {
-			c.aluRun, c.loops = analyzeProgram(c.dec)
-			if c.cfg.Exec == ExecCompiled {
-				c.comp = c.compileProgram()
-			}
+			c.cp = c.compileProgram()
 		}
 		c.decFrom = p
 	}
@@ -305,10 +338,10 @@ func (c *Core) Wake(t sim.Time) {
 // With a track attached, Run emits one "exec" span per dispatch slice
 // [entry local time, exit local time) annotated with the instructions
 // retired in the slice, plus a "halt" instant when the program finishes.
-// Both execution engines share this instrumentation point, and the fused
+// Both execution engines share this instrumentation point, and the compiled
 // engine's invariant — every Run call returns at the same local-time
-// boundary as precise stepping — makes Fused and Precise traces identical
-// at this (block-aligned) granularity.
+// boundary as precise stepping — makes Compiled and Precise traces
+// identical at this (block-aligned) granularity.
 func (c *Core) AttachTelemetry(sink *telemetry.Sink) {
 	if sink == nil {
 		c.tel = nil
@@ -374,7 +407,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 		}
 		c.wakeAt = sim.MaxTime
 	}
-	fused := c.cfg.Exec != ExecPrecise
+	cp := c.cp
 	for c.at <= limit {
 		if c.pc < 0 || c.pc >= len(c.dec) {
 			c.fail(fmt.Errorf("cpu %s: pc %d out of program (len %d)", c.cfg.Name, c.pc, len(c.dec)))
@@ -384,8 +417,8 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 			c.fail(fmt.Errorf("cpu %s: instruction budget %d exceeded", c.cfg.Name, c.maxInsts))
 			return c.at, sim.StateDone, 0
 		}
-		if fused {
-			if li := c.loops[c.pc]; li != nil {
+		if cp != nil {
+			if li := cp.loops[c.pc]; li != nil {
 				switch c.runLoop(li, limit) {
 				case loopProgress:
 					c.blocked = false
@@ -406,7 +439,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 				}
 				// loopNoProgress: fall through to the per-instruction path,
 				// which is guaranteed to advance, block, or halt.
-			} else if n := c.aluRun[c.pc]; n > 1 {
+			} else if n := cp.aluRun[c.pc]; n > 1 {
 				c.pc = c.runALUBlock(c.pc, int(n), limit)
 				c.blocked = false
 				continue

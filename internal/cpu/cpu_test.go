@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"assasin/internal/asm"
@@ -394,5 +395,39 @@ func TestOnHaltCallback(t *testing.T) {
 	runToHalt(t, c)
 	if fired < 0 {
 		t.Fatal("OnHalt not fired")
+	}
+}
+
+func TestParseExecMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ExecMode
+		ok   bool
+	}{
+		{"compiled", ExecCompiled, true},
+		{"precise", ExecPrecise, true},
+		{"fused", 0, false},
+		{"", 0, false},
+		{"Compiled", 0, false},
+	} {
+		got, err := ParseExecMode(tc.in)
+		if tc.ok {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseExecMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			}
+			if got.String() != tc.in {
+				t.Errorf("ParseExecMode(%q).String() = %q", tc.in, got.String())
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("ParseExecMode(%q) accepted as %v", tc.in, got)
+			continue
+		}
+		for _, valid := range []string{"compiled", "precise"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseExecMode(%q) error %q does not name %q", tc.in, err, valid)
+			}
+		}
 	}
 }

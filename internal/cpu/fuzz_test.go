@@ -1,11 +1,11 @@
 package cpu
 
-// Differential fuzzing of the three execution engines: random valid
+// Differential fuzzing of the two execution engines: random valid
 // programs (RV32IM + stream ops, constrained so control flow stays
-// in-bounds) run under ExecPrecise, ExecFused and ExecCompiled against
+// in-bounds) run under ExecPrecise and ExecCompiled against
 // identical stream inputs and dispatch schedules must leave byte-identical
 // architectural state, Stats, local time and output bytes. This catches
-// translator and fused-path edge cases the Table II workloads never
+// translator and loop-driver edge cases the Table II workloads never
 // exercise — odd loop shapes, branches into the middle of ALU runs,
 // blocking at every body position, error paths.
 
@@ -108,11 +108,14 @@ type fuzzOutcome struct {
 // closed), 500 ns dispatch quanta, and output windows drained at every
 // quantum boundary. The schedule is a pure function of the program and
 // inputs, so any outcome divergence between modes is an engine bug.
-func runFuzzProgram(prog *asm.Program, mode ExecMode, inData [4][]byte) fuzzOutcome {
+// branchFree selects UDP timing (zero-cycle taken control flow), the only
+// timing under which the compiled engine batches pure-ALU loops.
+func runFuzzProgram(prog *asm.Program, mode ExecMode, inData [4][]byte, branchFree bool) fuzzOutcome {
 	// One name for every mode: simulation errors embed it, and error
 	// strings are part of the compared outcome.
 	cfg := DefaultConfig("fuzz")
 	cfg.Exec = mode
+	cfg.BranchFree = branchFree
 	cfg.MaxInstructions = 150_000
 	sys := newTestSystem()
 	c := New(cfg, sys)
@@ -224,12 +227,21 @@ func fuzzSeeds() [][]byte {
 			seedChunk(isa.OpStreamCsrR, 14, 0, 0, 1, 2),
 			seedChunk(isa.OpStreamCsrR, 15, 0, 0, 0, 2),
 		),
+		// Pure-ALU loop closed by an x0-linked jal: under BranchFree timing
+		// the compiled engine batches whole iterations until the
+		// instruction budget runs out.
+		cat(
+			seedChunk(isa.OpAddi, 5, 5, 0, 1, 0),
+			seedChunk(isa.OpXor, 7, 7, 5, 0, 0),
+			seedChunk(isa.OpSlli, 28, 5, 0, 3, 0),
+			seedChunk(isa.OpJal, 0, 0, 0, 0, 0), // back to pc 0
+		),
 	}
 }
 
 // TestFuzzSeedCorpus keeps the checked-in seed corpus in sync with the
 // generator encoding: every seed must decode to a program that runs
-// identically under all three engines, and -update-seeds rewrites the
+// identically under both engines, and -update-seeds rewrites the
 // corpus files from fuzzSeeds().
 func TestFuzzSeedCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzExecEquivalence")
@@ -262,12 +274,11 @@ func checkExecEquivalence(t *testing.T, raw []byte) {
 		t.Skip("input shorter than one instruction")
 	}
 	inputs := fuzzInputs(raw)
-	ref := runFuzzProgram(prog, ExecPrecise, inputs)
-	for _, mode := range []ExecMode{ExecFused, ExecCompiled} {
-		got := runFuzzProgram(prog, mode, inputs)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%v diverges from precise for program:\n%v\nprecise: %+v\n%v: %+v",
-				mode, prog.Insts, ref, mode, got)
+	for _, branchFree := range []bool{false, true} {
+		ref := runFuzzProgram(prog, ExecPrecise, inputs, branchFree)
+		if got := runFuzzProgram(prog, ExecCompiled, inputs, branchFree); !reflect.DeepEqual(got, ref) {
+			t.Errorf("compiled diverges from precise (branchFree=%v) for program:\n%v\nprecise: %+v\ncompiled: %+v",
+				branchFree, prog.Insts, ref, got)
 		}
 	}
 }

@@ -10,8 +10,12 @@ import (
 
 // streamRun builds a fresh rig, submits a copy task over pages flash pages,
 // and returns the number of heap allocations performed while the scheduler
-// ran the offload (setup and teardown excluded).
-func streamRun(t testing.TB, pages int) uint64 {
+// ran the offload (setup and teardown excluded). With traced set, a request
+// record is attached to the engine, so the measured window also covers the
+// per-page AddPage/NoteEOS accounting and the OnHalt NoteHalt in the
+// data-plane hot path. Like testing.AllocsPerRun, it pins GOMAXPROCS to 1
+// for the measurement so background runtime work stays off the count.
+func streamRun(t testing.TB, pages int, traced bool) uint64 {
 	ps := 1024
 	data := make([]byte, pages*ps)
 	for i := range data {
@@ -21,6 +25,11 @@ func streamRun(t testing.TB, pages int) uint64 {
 	lpas := r.install(t, data)
 	r.core.LoadProgram(copyProgram())
 	e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
+	var tr *reqtrace.Tracer
+	if traced {
+		tr = reqtrace.New(nil, reqtrace.Config{TopK: 2})
+		e.Req = tr.Begin("offload", "copy", 0)
+	}
 	if err := e.Submit([]Task{{
 		Core:    r.core,
 		Inputs:  []StreamSpec{{LPAs: lpas, Offset: 0, Length: int64(len(data))}},
@@ -30,6 +39,7 @@ func streamRun(t testing.TB, pages int) uint64 {
 	}
 	r.sched.Add(r.core)
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -40,44 +50,9 @@ func streamRun(t testing.TB, pages int) uint64 {
 	if !e.Done() {
 		t.Fatal("engine incomplete")
 	}
-	return m1.Mallocs - m0.Mallocs
-}
-
-// streamRunTraced is streamRun with a request record attached to the
-// engine, so the measured window also covers the per-page AddPage/NoteEOS
-// accounting and the OnHalt NoteHalt in the data-plane hot path.
-func streamRunTraced(t testing.TB, pages int) uint64 {
-	ps := 1024
-	data := make([]byte, pages*ps)
-	for i := range data {
-		data[i] = byte(i * 7)
+	if traced {
+		tr.Complete(e.Req, int64(e.CompletionTime()))
 	}
-	r := newRig(t)
-	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
-	e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
-	tr := reqtrace.New(nil, reqtrace.Config{TopK: 2})
-	e.Req = tr.Begin("offload", "copy", 0)
-	if err := e.Submit([]Task{{
-		Core:    r.core,
-		Inputs:  []StreamSpec{{LPAs: lpas, Offset: 0, Length: int64(len(data))}},
-		Outputs: []OutTarget{{Kind: OutDiscard}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	r.sched.Add(r.core)
-
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if _, err := r.sched.Run(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&m1)
-	if !e.Done() {
-		t.Fatal("engine incomplete")
-	}
-	tr.Complete(e.Req, int64(e.CompletionTime()))
 	return m1.Mallocs - m0.Mallocs
 }
 
@@ -86,8 +61,8 @@ func streamRunTraced(t testing.TB, pages int) uint64 {
 // the data plane must not add per-page allocations — the record is
 // fixed-shape and the per-page accounting is plain integer accumulation.
 func TestReqtraceSteadyStateZeroAlloc(t *testing.T) {
-	small := streamRunTraced(t, 8)
-	large := streamRunTraced(t, 64)
+	small := streamRun(t, 8, true)
+	large := streamRun(t, 64, true)
 	if slack := uint64(8); large > small+slack {
 		t.Fatalf("per-page allocations with tracing enabled: 8 pages -> %d allocs, 64 pages -> %d allocs (want <= %d)",
 			small, large, small+slack)
@@ -102,8 +77,8 @@ func TestReqtraceSteadyStateZeroAlloc(t *testing.T) {
 // per-page allocation sneaking back into the pump/deliver/drain hot path
 // fails the test by hundreds.
 func TestDataPlaneSteadyStateZeroAlloc(t *testing.T) {
-	small := streamRun(t, 8)
-	large := streamRun(t, 64)
+	small := streamRun(t, 8, false)
+	large := streamRun(t, 64, false)
 	if slack := uint64(8); large > small+slack {
 		t.Fatalf("per-page allocations in steady state: 8 pages -> %d allocs, 64 pages -> %d allocs (want <= %d)",
 			small, large, small+slack)

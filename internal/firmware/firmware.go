@@ -261,6 +261,9 @@ func (e *Engine) Submit(tasks []Task) error {
 				coreID: t.CoreID,
 				stream: sys.Streams.In[si],
 				spec:   t.Inputs[si],
+				// Phase 1 of pump keeps at most MaxSenses senses
+				// outstanding, so this ring never grows.
+				sensed: make([]sensedPage, min(e.cfg.MaxSenses, len(t.Inputs[si].LPAs))),
 			}
 			if e.Tel != nil {
 				fd.track = e.Tel.sink.Track(fmt.Sprintf("fw/core%d/in%d", t.CoreID, si))
@@ -397,7 +400,8 @@ type delivery struct {
 }
 
 // feeder streams one StreamSpec into one input stream buffer. Its sensed
-// and pending queues are ring-style FIFOs over reused backing arrays, and
+// queue is a fixed ring sized to the sense look-ahead, its pending queue a
+// FIFO over a reused backing array, and
 // its event callbacks are bound once at Submit, so the steady-state page
 // flow allocates nothing.
 type feeder struct {
@@ -409,8 +413,9 @@ type feeder struct {
 	spec   StreamSpec
 
 	nextPage   int
-	sensed     []sensedPage
+	sensed     []sensedPage // ring: sensedN entries from sensedHead
 	sensedHead int
+	sensedN    int
 	pending    []delivery
 	pendHead   int
 	claimed    int
@@ -425,16 +430,25 @@ type feeder struct {
 	trainFn   func(now sim.Time) // coalesced: run the delivery train
 }
 
-func (f *feeder) sensedLen() int { return len(f.sensed) - f.sensedHead }
+func (f *feeder) sensedLen() int { return f.sensedN }
+
+func (f *feeder) sensedPush(pg sensedPage) {
+	i := f.sensedHead + f.sensedN
+	if i >= len(f.sensed) {
+		i -= len(f.sensed)
+	}
+	f.sensed[i] = pg
+	f.sensedN++
+}
 
 func (f *feeder) sensedPop() sensedPage {
 	pg := f.sensed[f.sensedHead]
 	f.sensed[f.sensedHead] = sensedPage{}
 	f.sensedHead++
 	if f.sensedHead == len(f.sensed) {
-		f.sensed = f.sensed[:0]
 		f.sensedHead = 0
 	}
+	f.sensedN--
 	return pg
 }
 
@@ -516,7 +530,7 @@ func (f *feeder) pump(now sim.Time) {
 		}
 		trimmed := f.trimForPage(f.nextPage, data)
 		f.nextPage++
-		f.sensed = append(f.sensed, sensedPage{
+		f.sensedPush(sensedPage{
 			data:       trimmed,
 			channel:    ppa.Channel,
 			senseStart: now,

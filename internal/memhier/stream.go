@@ -167,6 +167,14 @@ func (s *InStream) Push(data []byte, availableAt sim.Time) error {
 		availableAt = s.lastAvail
 	}
 	s.lastAvail = availableAt
+	if s.availHead > 0 && len(s.avail) == cap(s.avail) {
+		// Compact in place before growing: the live segments (pages not
+		// yet fully consumed) never exceed the window, so steady-state
+		// delivery reuses the backing and allocates nothing.
+		n := copy(s.avail, s.avail[s.availHead:])
+		s.avail = s.avail[:n]
+		s.availHead = 0
+	}
 	s.avail = append(s.avail, availSeg{End: s.delivered, At: availableAt})
 	if t := s.Tel; t != nil {
 		t.PushPages.Inc()
@@ -227,7 +235,7 @@ func (s *InStream) gather(off int64, width int) uint32 {
 }
 
 // BulkAvail returns how many buffered bytes past Head are usable at time at:
-// the window the fused interpreter may consume without ever stalling on an
+// the window the compiled interpreter may consume without ever stalling on an
 // in-flight page. Availability segments are per-page (not per-byte), and
 // their At times are monotone, so one forward walk from the trim point
 // suffices.
@@ -267,7 +275,7 @@ func (s *InStream) CopyOut(dst []byte, off int64) int {
 }
 
 // LoadDirect consumes width bytes at Head and returns the little-endian
-// value, bypassing the availability scan. The caller (the fused-execution
+// value, bypassing the availability scan. The caller (the compiled-execution
 // loop path in internal/cpu) must have already established via BulkAvail
 // that the bytes are buffered and usable at the access time; the consume
 // side effects (trim, OnFree) match Load exactly.
@@ -290,13 +298,6 @@ func (s *InStream) PeekDirect(off int64, width int) uint32 {
 func (s *InStream) trimAvail() {
 	for s.availHead < len(s.avail) && s.avail[s.availHead].End <= s.consumed {
 		s.availHead++
-	}
-	if s.availHead > 64 && s.availHead*2 > len(s.avail) {
-		// Compact in place: the live tail never overlaps destructively
-		// (copy moves left), so steady-state consumption allocates nothing.
-		n := copy(s.avail, s.avail[s.availHead:])
-		s.avail = s.avail[:n]
-		s.availHead = 0
 	}
 }
 

@@ -121,9 +121,8 @@ type Options struct {
 	OutWindowPages int
 	// Exec selects the core interpreter strategy: cpu.ExecCompiled
 	// (default) translates programs to threaded code at load time,
-	// cpu.ExecFused runs basic blocks and recognized stream loops as
-	// macro-steps, cpu.ExecPrecise forces per-instruction stepping for
-	// debugging. All three produce byte-identical results.
+	// cpu.ExecPrecise forces per-instruction stepping and is the
+	// equivalence oracle. Both produce byte-identical results.
 	Exec cpu.ExecMode
 	// DataPlane selects the firmware delivery event structure:
 	// firmware.PlaneCoalesced (default) batches consecutive unconstrained
@@ -160,8 +159,8 @@ type Options struct {
 	Requests *reqtrace.Tracer
 	// KProf, when non-nil, attaches the guest-kernel profiler to every
 	// compute core: each retired instruction's issue cycle and every
-	// stall is attributed to its (kernel, pc), with the compiled/fused
-	// engines recording bulk ALU dispatches as O(1) range updates. Like
+	// stall is attributed to its (kernel, pc), with the compiled
+	// engine recording bulk ALU dispatches as O(1) range updates. Like
 	// Telemetry, the profiler belongs to this SSD's simulation goroutine.
 	// Nil disables profiling at nil-pointer-branch cost.
 	KProf *kprof.Profiler
