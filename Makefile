@@ -24,17 +24,21 @@ race:
 
 # A short bounded differential-fuzz pass over the two execution engines;
 # the checked-in corpus under internal/cpu/testdata/fuzz seeds it with
-# kernel-shaped programs.
+# kernel-shaped programs. The -slo and -load flag parsers get 5 s each.
 fuzz-smoke:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 5s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
+	go test ./internal/experiments/ -run '^$$' -fuzz '^FuzzParseLoadSpec$$' -fuzztime 5s
 
 # Run the differential engine against the archived Stat metrics snapshots
 # and check the ranked headline.
 diff-smoke:
 	scripts/diff-smoke.sh
 
-# Zero-alloc regression gate: the event-queue and crossbar hot paths must
-# report 0 allocs/op and the firmware steady-state guard must pass.
+# Zero-alloc regression gate: the event-queue, crossbar and prefetched-cache
+# hot paths must report 0 allocs/op and the firmware steady-state guard must
+# pass.
 alloc-gate:
 	scripts/alloc-gate.sh
 
@@ -57,6 +61,9 @@ ci:
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
 	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 5s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
+	go test ./internal/experiments/ -run '^$$' -fuzz '^FuzzParseLoadSpec$$' -fuzztime 5s
 	scripts/alloc-gate.sh
 	scripts/serve-smoke.sh
 	scripts/diff-smoke.sh

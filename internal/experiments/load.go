@@ -144,8 +144,8 @@ func (lc LoadConfig) withDefaults() LoadConfig {
 //
 // Keys: requests, rate (req/s), tenants (comma-separated), read (fraction),
 // pages, keys, zipfs, zipfv, drives, seed, offloadmb, offloadtenant,
-// window (duration: 10ms, 1s, ...), buckets. Unknown keys are errors so
-// typos fail fast.
+// window (duration: 10ms, 1s, ...), buckets. Unknown keys and non-finite
+// numbers are errors so typos fail fast.
 func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 	lc := base
 	for _, pair := range strings.Split(spec, ";") {
@@ -163,7 +163,7 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 		case "requests":
 			lc.Requests, err = strconv.Atoi(val)
 		case "rate":
-			lc.RatePerSec, err = strconv.ParseFloat(val, 64)
+			lc.RatePerSec, err = parseFinite(val)
 		case "tenants":
 			lc.Tenants = nil
 			for _, t := range strings.Split(val, ",") {
@@ -172,21 +172,21 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 				}
 			}
 		case "read":
-			lc.ReadFraction, err = strconv.ParseFloat(val, 64)
+			lc.ReadFraction, err = parseFinite(val)
 		case "pages":
 			lc.PagesPerIO, err = strconv.Atoi(val)
 		case "keys":
 			lc.Keys, err = strconv.Atoi(val)
 		case "zipfs":
-			lc.ZipfS, err = strconv.ParseFloat(val, 64)
+			lc.ZipfS, err = parseFinite(val)
 		case "zipfv":
-			lc.ZipfV, err = strconv.ParseFloat(val, 64)
+			lc.ZipfV, err = parseFinite(val)
 		case "drives":
 			lc.Drives, err = strconv.Atoi(val)
 		case "seed":
 			lc.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "offloadmb":
-			lc.OffloadMB, err = strconv.ParseFloat(val, 64)
+			lc.OffloadMB, err = parseFinite(val)
 		case "offloadtenant":
 			lc.OffloadTenant = val
 		case "window":
@@ -201,6 +201,16 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 		}
 	}
 	return lc, nil
+}
+
+// parseFinite is strconv.ParseFloat refusing NaN and ±Inf, which no load
+// parameter can take.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, err
 }
 
 // defaultLoadObjectives builds one latency SLO per tenant plus an aggregate

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"assasin/internal/sim"
@@ -167,6 +168,39 @@ func TestParseLoadSpec(t *testing.T) {
 	if got, err := ParseLoadSpec("", base); err != nil || got.Requests != base.Requests {
 		t.Fatalf("empty spec changed base: %+v err %v", got, err)
 	}
+	for _, bad := range []string{"rate=NaN", "read=Inf", "zipfs=-Inf", "window=NaNms", "window=1e30s"} {
+		if _, err := ParseLoadSpec(bad, base); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+}
+
+// FuzzParseLoadSpec checks that an accepted -load spec has a non-negative
+// window, leaves its base untouched, and parses the same way twice.
+func FuzzParseLoadSpec(f *testing.F) {
+	for _, s := range []string{
+		"requests=100000;rate=3e5;tenants=gold,silver,bronze;read=0.95",
+		"requests=5000; rate=3e5;tenants=a,b,c;read=0.9;window=20ms;buckets=40;seed=7",
+		"window=10ms;offloadmb=2;offloadtenant=scan", "rate=NaN", "window=NaNus", "window=1e30s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		base := DefaultLoad()
+		lc, err := ParseLoadSpec(spec, base)
+		if !reflect.DeepEqual(base, DefaultLoad()) {
+			t.Fatalf("ParseLoadSpec(%q) modified its base", spec)
+		}
+		if err != nil {
+			return
+		}
+		if lc.Window.WindowPs < 0 {
+			t.Fatalf("ParseLoadSpec(%q) accepted window %d ps", spec, lc.Window.WindowPs)
+		}
+		if again, err := ParseLoadSpec(spec, base); err != nil || !reflect.DeepEqual(again, lc) {
+			t.Fatalf("ParseLoadSpec(%q) = %+v, then %+v, %v", spec, lc, again, err)
+		}
+	})
 }
 
 // TestLoadOnEvalPublishes pins the live-serving hook: burn evaluations

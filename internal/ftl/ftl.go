@@ -339,7 +339,9 @@ func (f *FTL) write(at sim.Time, lpa int, data []byte, gc bool) (busDone, progDo
 	} else {
 		f.stats.HostWrites++
 	}
-	if f.free[channel][chip].n <= f.GCThreshold {
+	// GC's own migration writes never start another collection: a nested
+	// one would pick the victim still being migrated and free it twice.
+	if !gc && f.free[channel][chip].n <= f.GCThreshold {
 		if err := f.collect(at, channel, chip); err != nil {
 			return 0, 0, err
 		}

@@ -163,6 +163,71 @@ func TestGarbageCollectionReclaims(t *testing.T) {
 	}
 }
 
+// TestGarbageCollectionFreesEachBlockOnce overwrites random pages of a 75%
+// full drive and checks after every write that each chip's free-block count
+// matches its free set, then reads every page back. A collection started
+// from inside another's migration used to free the same victim twice.
+func TestGarbageCollectionFreesEachBlockOnce(t *testing.T) {
+	f := New(smallArray(), nil)
+	rng := rand.New(rand.NewSource(4))
+	pages := f.UserPages() * 3 / 4
+	version := make([]int, pages)
+	data := func(lpa int) []byte {
+		d := pageData(lpa)
+		d[0], d[1] = byte(version[lpa]), byte(version[lpa]>>8)
+		return d
+	}
+	readBack := func(when string) {
+		t.Helper()
+		for lpa := range version {
+			got, _, err := f.Read(0, lpa)
+			if err != nil {
+				t.Fatalf("%s: lpa %d: %v", when, lpa, err)
+			}
+			if !bytes.Equal(got, data(lpa)) {
+				t.Fatalf("%s: lpa %d returned stale data", when, lpa)
+			}
+		}
+	}
+	for lpa := range version {
+		if _, _, err := f.Write(0, lpa, data(lpa)); err != nil {
+			t.Fatalf("fill lpa %d: %v", lpa, err)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		lpa := rng.Intn(pages)
+		version[lpa]++
+		if _, _, err := f.Write(0, lpa, data(lpa)); err != nil {
+			t.Fatalf("write %d (lpa %d): %v", i, lpa, err)
+		}
+		for c := range f.free {
+			for chip := range f.free[c] {
+				fb := &f.free[c][chip]
+				n := 0
+				for b, free := range fb.isFree {
+					if !free {
+						continue
+					}
+					n++
+					if f.blocks[blockID{c, chip, b}] != nil {
+						t.Fatalf("write %d: ch%d/chip%d block %d is free and in use", i, c, chip, b)
+					}
+				}
+				if n != fb.n {
+					t.Fatalf("write %d: ch%d/chip%d free count %d, free set holds %d", i, c, chip, fb.n, n)
+				}
+			}
+		}
+		if i%2000 == 0 {
+			readBack(fmt.Sprintf("after write %d", i))
+		}
+	}
+	readBack("at the end")
+	if st := f.Stats(); st.GCInvocations == 0 || st.GCWrites == 0 {
+		t.Fatalf("GC never migrated a page: %+v", st)
+	}
+}
+
 // TestMappingInvariants property-checks that after random traffic the
 // mapping is a partial injection: no two LPAs share a physical page.
 func TestMappingInvariants(t *testing.T) {

@@ -26,6 +26,34 @@ func BenchmarkCacheMissStream(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePrefetch runs the Prefetch configuration's hierarchy (a
+// DCPT-prefetched 32 KiB L1 over a 256 KiB L2) under one sequential stream
+// plus an AES-like cycle of 160 load PCs, which overflows the prefetch
+// table on every access. One op is one access of each kind.
+func BenchmarkCachePrefetch(b *testing.B) {
+	l2 := NewCache(CacheConfig{Name: "l2", Size: 256 << 10, Ways: 16, LineSize: 64, HitLatency: 10 * sim.Nanosecond}, DRAMLevel{testDRAM()})
+	l1 := NewCache(CacheConfig{Name: "l1", Size: 32 << 10, Ways: 8, LineSize: 64}, l2)
+	l1.AttachPrefetcher(NewPrefetcher(8))
+	const tablePCs = 160
+	stream := uint32(0x8000_0000)
+	at := sim.Time(0)
+	step := func(i int) {
+		at = l1.Access(at, stream, 4, false, 1, "b")
+		stream += 4
+		pc := uint32(i % tablePCs)
+		l1.Access(at, 0x9000_0000+pc*64+uint32(i*37)%64, 4, false, 0x100+4*pc, "b")
+		at += sim.Nanosecond
+	}
+	for i := 0; i < 2*tablePCs; i++ { // fill the table and the DRAM client map
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
 func BenchmarkStreamLoad(b *testing.B) {
 	s := NewInStream(64, 4096)
 	page := make([]byte, 4096)

@@ -71,6 +71,9 @@ type Cache struct {
 	setMask  uint32
 	lineBits uint
 	useTick  uint64
+	// installs counts line installs (demand misses and prefetch fills),
+	// the only events that remove a resident line.
+	installs uint64
 	stats    CacheStats
 	// prefetcher, if set, observes demand accesses and issues fills.
 	prefetcher *Prefetcher
@@ -105,7 +108,13 @@ func NewCache(cfg CacheConfig, next NextLevel) *Cache {
 // stream and fills this cache.
 func (c *Cache) AttachPrefetcher(p *Prefetcher) {
 	c.prefetcher = p
-	p.target = c
+	if p.target != c {
+		// Resident windows describe the old target's contents.
+		for i := range p.ring {
+			p.ring[i].winDir = 0
+		}
+		p.target = c
+	}
 }
 
 // Config returns the cache geometry.
@@ -197,6 +206,7 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client stri
 	}
 	fillDone := c.next.FetchLine(at+c.cfg.HitLatency, lineAddr, c.cfg.LineSize, client)
 	c.stats.MissServiceTime += fillDone - at
+	c.installs++
 	*v = cacheLine{tag: lineAddr >> c.lineBits, valid: true, dirty: write, readyAt: fillDone, lastUse: c.useTick}
 	return fillDone
 }
@@ -221,6 +231,7 @@ func (c *Cache) Prefetch(at sim.Time, lineAddr uint32, client string) bool {
 	}
 	fillDone := c.next.FetchLine(at, lineAddr, c.cfg.LineSize, client)
 	c.stats.PrefetchIssued++
+	c.installs++
 	*v = cacheLine{tag: lineAddr >> c.lineBits, valid: true, readyAt: fillDone, lastUse: c.useTick, prefetched: true}
 	return true
 }

@@ -22,6 +22,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -388,10 +389,13 @@ func ParseSpec(spec string) ([]Objective, error) {
 			tenant = ""
 		}
 		pct, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(parts[1]), "%"), 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		target := pct / 100
+		// The negated test also refuses NaN, and a tiny percentage whose
+		// fraction rounds to 0.
+		if err != nil || !(target > 0 && target < 1) {
 			return nil, fmt.Errorf("slo: entry %q needs a target percentage in (0, 100)", entry)
 		}
-		o := Objective{Tenant: tenant, Target: pct / 100}
+		o := Objective{Tenant: tenant, Target: target}
 		if len(parts) == 3 {
 			lat, err := ParseDuration(strings.TrimSpace(parts[2]))
 			if err != nil {
@@ -413,7 +417,8 @@ func ParseSpec(spec string) ([]Objective, error) {
 }
 
 // ParseDuration parses a simulated duration with a unit suffix (ps, ns,
-// us, ms, s) into picoseconds.
+// us, ms, s) into picoseconds. The value must be finite, non-negative and
+// fit in an int64 of picoseconds (about 106 days).
 func ParseDuration(s string) (int64, error) {
 	units := []struct {
 		suffix string
@@ -429,10 +434,17 @@ func ParseDuration(s string) (int64, error) {
 			if err != nil {
 				continue
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("duration %q is not finite", s)
+			}
 			if v < 0 {
 				return 0, fmt.Errorf("negative duration %q", s)
 			}
-			return int64(v * u.mult), nil
+			ps := v * u.mult
+			if ps >= 1<<63 {
+				return 0, fmt.Errorf("duration %q overflows int64 picoseconds", s)
+			}
+			return int64(ps), nil
 		}
 	}
 	return 0, fmt.Errorf("duration %q needs a unit suffix (ps, ns, us, ms, s)", s)

@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"assasin/internal/telemetry/window"
@@ -193,7 +194,7 @@ func TestParseSpec(t *testing.T) {
 	if o := objs[2]; o.Tenant != "silver" || o.LatencyPs != 0 {
 		t.Fatalf("silver availability objective = %+v", o)
 	}
-	for _, bad := range []string{"", "gold", "gold:0:1us", "gold:100:1us", "gold:99:20", "gold:99:1us:extra"} {
+	for _, bad := range []string{"", "gold", "gold:0:1us", "gold:100:1us", "gold:99:20", "gold:99:1us:extra", "gold:NaN:1us", "gold:99:NaNus", "gold:5e-324"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q must be rejected", bad)
 		}
@@ -211,9 +212,55 @@ func TestParseDuration(t *testing.T) {
 			t.Fatalf("ParseDuration(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "20", "-1us", "xus"} {
-		if _, err := ParseDuration(bad); err == nil {
-			t.Fatalf("duration %q must be rejected", bad)
+	for _, bad := range []string{"", "20", "-1us", "xus", "NaNs", "NaNus", "Infs", "-Infms", "1e30s", "9.3e6s"} {
+		if got, err := ParseDuration(bad); err == nil {
+			t.Fatalf("duration %q must be rejected, got %d", bad, got)
 		}
 	}
+	// The largest durations that fit in int64 picoseconds still parse.
+	if got, err := ParseDuration("9.2e6s"); err != nil || got != 9_200_000_000_000_000_000 {
+		t.Fatalf("ParseDuration(9.2e6s) = %d, %v", got, err)
+	}
+}
+
+// FuzzParseDuration checks that any accepted duration is non-negative and
+// parses the same way twice.
+func FuzzParseDuration(f *testing.F) {
+	for _, s := range []string{"200us", "1ms", "2.5ms", "1s", "500ns", "42ps", "NaNus", "Infs", "1e30s", "9.3e6s", "-1us", "0x1p-2ms"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ps, err := ParseDuration(s)
+		if err != nil {
+			return
+		}
+		if ps < 0 {
+			t.Fatalf("ParseDuration(%q) = %d, a negative duration", s, ps)
+		}
+		if again, err := ParseDuration(s); err != nil || again != ps {
+			t.Fatalf("ParseDuration(%q) = %d, then %d, %v", s, ps, again, err)
+		}
+	})
+}
+
+// FuzzParseSpec checks that every accepted objective has a target in
+// (0, 1) and a non-negative latency, and that parsing is repeatable.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"gold:99.9:200us", "all:99:1ms,silver:99.5", "*:50%", "gold:NaN:1us", "gold:99:NaNus", "gold:5e-324"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if !(o.Target > 0 && o.Target < 1) || o.LatencyPs < 0 {
+				t.Fatalf("ParseSpec(%q) accepted %+v", spec, o)
+			}
+		}
+		if again, err := ParseSpec(spec); err != nil || !reflect.DeepEqual(again, objs) {
+			t.Fatalf("ParseSpec(%q) = %+v, then %+v, %v", spec, objs, again, err)
+		}
+	})
 }

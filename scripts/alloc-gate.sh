@@ -1,6 +1,7 @@
 #!/bin/sh
-# Alloc-regression gate for the simulator's hot paths: the event queue and
-# the crossbar arbitration benchmarks must report exactly 0 allocs/op, and
+# Alloc-regression gate for the simulator's hot paths: the event queue, the
+# crossbar arbitration and the prefetched cache hierarchy (demand accesses
+# plus DCPT table misses) benchmarks must report exactly 0 allocs/op, and
 # the firmware steady-state guard tests (which pin the whole
 # feeder -> crossbar -> stream-buffer page path, both with request tracing
 # disabled and with a live request record attached) must pass. Any per-event
@@ -16,6 +17,7 @@ trap 'rm -f "$OUT"' EXIT
 
 go test ./internal/sim/ -run '^$' -bench 'BenchmarkEventQueue' -benchmem -benchtime 10000x | tee "$OUT"
 go test ./internal/crossbar/ -run '^$' -bench 'BenchmarkCrossbarArbitration' -benchmem -benchtime 10000x | tee -a "$OUT"
+go test ./internal/memhier/ -run '^$' -bench 'BenchmarkCachePrefetch' -benchmem -benchtime 10000x | tee -a "$OUT"
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
 if [ -n "$bad" ]; then
