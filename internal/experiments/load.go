@@ -460,7 +460,7 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 			if acc == nil || acc.rate.Total() == 0 {
 				continue
 			}
-			win := acc.hist.Window()
+			win, cum := acc.hist.Window(), acc.hist.Cumulative()
 			row := LoadTenantRow{
 				Drive:       di,
 				Tenant:      t,
@@ -468,8 +468,8 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 				WindowP50Ps: win.Percentile(0.50),
 				WindowP95Ps: win.Percentile(0.95),
 				WindowP99Ps: win.Percentile(0.99),
-				TotalP99Ps:  acc.hist.Cumulative().Percentile(0.99),
-				MaxPs:       acc.hist.Cumulative().MaxValue(),
+				TotalP99Ps:  cum.Percentile(0.99),
+				MaxPs:       cum.MaxValue(),
 			}
 			if endPs > 0 {
 				row.PerSecond = float64(row.Requests) * 1e12 / float64(endPs)

@@ -60,11 +60,8 @@ func (p SkewedPolicy) Channel(lpa, n int) int {
 // Name implements Policy.
 func (p SkewedPolicy) Name() string { return fmt.Sprintf("skewed(%.2f)", p.Skew) }
 
-// blockID identifies an erase block within the array.
-type blockID struct {
-	channel, chip, block int
-}
-
+// blockState is one erase block's FTL accounting. The zero value is a
+// block that is free or was never opened.
 type blockState struct {
 	valid  int  // valid pages
 	open   bool // currently receiving writes
@@ -96,7 +93,12 @@ type FTL struct {
 	l2p   [][]flash.PPA // chunked logical -> physical; nil chunk or Page == -1 means unmapped
 	p2l   [][]int       // chunked physical page index -> lpa; nil chunk or -1 invalid
 
-	blocks map[blockID]*blockState
+	// blocks holds the per-block state of each (channel, chip), indexed by
+	// block and grown to the highest block opened so far: wear leveling
+	// opens low block numbers first, so a lightly written drive keeps a
+	// few entries per chip. Growing may move a chip's states, so callers
+	// look a block up again after anything that can open a block.
+	blocks [][][]blockState
 	// free blocks per (channel, chip)
 	free [][]freeBlocks
 	// openBlock per (channel, chip): the block receiving writes
@@ -157,13 +159,14 @@ func New(arr *flash.Array, policy Policy) *FTL {
 		total:       total,
 		l2p:         make([][]flash.PPA, chunks),
 		p2l:         make([][]int, chunks),
-		blocks:      make(map[blockID]*blockState),
 		GCThreshold: 2,
 	}
 	f.free = make([][]freeBlocks, cfg.Channels)
 	f.open = make([][]int, cfg.Channels)
+	f.blocks = make([][][]blockState, cfg.Channels)
 	for c := 0; c < cfg.Channels; c++ {
 		f.free[c] = make([]freeBlocks, cfg.ChipsPerChannel)
+		f.blocks[c] = make([][]blockState, cfg.ChipsPerChannel)
 		f.open[c] = make([]int, cfg.ChipsPerChannel)
 		for d := 0; d < cfg.ChipsPerChannel; d++ {
 			fb := &f.free[c][d]
@@ -252,6 +255,15 @@ func (f *FTL) ppaIndex(p flash.PPA) int {
 	return p.Channel*perChannel + p.Chip*perChip + p.Block*f.cfg.PagesPerBlock + p.Page
 }
 
+// block returns the state of block b on (channel, chip), or nil when the
+// block has never been opened (so it holds no data).
+func (f *FTL) block(channel, chip, b int) *blockState {
+	if bs := f.blocks[channel][chip]; b < len(bs) {
+		return &bs[b]
+	}
+	return nil
+}
+
 // pickFreeBlock selects the free block with the lowest erase count on
 // (channel, chip) — the wear-leveling decision.
 func (f *FTL) pickFreeBlock(channel, chip int) (int, error) {
@@ -282,7 +294,7 @@ func (f *FTL) nextSlot(channel, chip int) (flash.PPA, error) {
 	ob := f.open[channel][chip]
 	var st *blockState
 	if ob >= 0 {
-		st = f.blocks[blockID{channel, chip, ob}]
+		st = f.block(channel, chip, ob)
 		if st.filled >= f.cfg.PagesPerBlock {
 			st.open = false
 			ob = -1
@@ -295,8 +307,11 @@ func (f *FTL) nextSlot(channel, chip int) (flash.PPA, error) {
 		}
 		ob = b
 		f.open[channel][chip] = b
-		st = &blockState{open: true}
-		f.blocks[blockID{channel, chip, b}] = st
+		if bs := f.blocks[channel][chip]; b >= len(bs) {
+			f.blocks[channel][chip] = append(bs, make([]blockState, b+1-len(bs))...)
+		}
+		st = f.block(channel, chip, b)
+		*st = blockState{open: true}
 	}
 	return flash.PPA{Channel: channel, Chip: chip, Block: ob, Page: st.filled}, nil
 }
@@ -372,14 +387,12 @@ func (f *FTL) Install(lpa int, data []byte) error {
 func (f *FTL) commitMapping(lpa int, ppa flash.PPA) {
 	// Invalidate the old physical page.
 	if old := f.l2pAt(lpa); old.Page >= 0 {
-		if st := f.blocks[blockID{old.Channel, old.Chip, old.Block}]; st != nil {
-			st.valid--
-		}
+		f.block(old.Channel, old.Chip, old.Block).valid--
 		f.p2lSet(f.ppaIndex(old), -1)
 	}
 	f.l2pSet(lpa, ppa)
 	f.p2lSet(f.ppaIndex(ppa), lpa)
-	st := f.blocks[blockID{ppa.Channel, ppa.Chip, ppa.Block}]
+	st := f.block(ppa.Channel, ppa.Chip, ppa.Block)
 	st.valid++
 	st.filled++
 }
@@ -400,10 +413,10 @@ func (f *FTL) collect(at sim.Time, channel, chip int) error {
 	victim := -1
 	var victimState *blockState
 	var victimWear int64
-	for b := 0; b < f.cfg.BlocksPerChip; b++ {
-		id := blockID{channel, chip, b}
-		st := f.blocks[id]
-		if st == nil || st.open || st.filled < f.cfg.PagesPerBlock {
+	blocks := f.blocks[channel][chip]
+	for b := range blocks {
+		st := &blocks[b]
+		if st.open || st.filled < f.cfg.PagesPerBlock {
 			continue
 		}
 		wear := f.arr.EraseCount(channel, chip, b)
@@ -438,7 +451,8 @@ func (f *FTL) collect(at sim.Time, channel, chip int) error {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
 	f.stats.Erases++
-	delete(f.blocks, blockID{channel, chip, victim})
+	// The migration writes above may have grown this chip's states.
+	*f.block(channel, chip, victim) = blockState{}
 	fb := &f.free[channel][chip]
 	fb.isFree[victim] = true
 	fb.n++

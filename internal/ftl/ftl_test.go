@@ -209,7 +209,7 @@ func TestGarbageCollectionFreesEachBlockOnce(t *testing.T) {
 						continue
 					}
 					n++
-					if f.blocks[blockID{c, chip, b}] != nil {
+					if st := f.block(c, chip, b); st != nil && *st != (blockState{}) {
 						t.Fatalf("write %d: ch%d/chip%d block %d is free and in use", i, c, chip, b)
 					}
 				}
@@ -383,4 +383,37 @@ func ExampleFTL_Skew() {
 	}
 	fmt.Printf("skew=%.1f\n", f.Skew(lpas))
 	// Output: skew=1.0
+}
+
+// TestCollectWhileBlockStatesGrow runs a collection whose migration opens a
+// block never opened before, so the chip's block states grow (and, at
+// eight entries, move) in the middle of the collection. The victim must
+// still end up free with empty state, and every page must read back.
+func TestCollectWhileBlockStatesGrow(t *testing.T) {
+	cfg := flash.DefaultConfig()
+	cfg.Channels, cfg.ChipsPerChannel = 1, 1
+	// Blocks 0..7 fill first; opening block 7 leaves 2 free and starts a
+	// collection whose fully valid victim overflows block 7 into block 8.
+	cfg.BlocksPerChip, cfg.PagesPerBlock, cfg.PageSize = 10, 4, 256
+	f := New(flash.New(cfg), nil)
+	for lpa := 0; lpa < f.UserPages(); lpa++ {
+		if _, _, err := f.Write(0, lpa, pageData(lpa)); err != nil {
+			t.Fatalf("write lpa %d: %v", lpa, err)
+		}
+		fb := &f.free[0][0]
+		for b, free := range fb.isFree {
+			if st := f.block(0, 0, b); free && st != nil && *st != (blockState{}) {
+				t.Fatalf("after lpa %d: block %d is free with state %+v", lpa, b, *st)
+			}
+		}
+	}
+	if f.Stats().GCWrites == 0 {
+		t.Fatal("no collection migrated a page")
+	}
+	for lpa := 0; lpa < f.UserPages(); lpa++ {
+		got, _, err := f.Read(0, lpa)
+		if err != nil || !bytes.Equal(got, pageData(lpa)) {
+			t.Fatalf("lpa %d reads back wrong (%v)", lpa, err)
+		}
+	}
 }

@@ -9,7 +9,11 @@ package memhier
 
 import "fmt"
 
-const sparsePageBits = 12 // 4 KiB functional pages
+const (
+	sparsePageBits = 12 // 4 KiB functional pages
+	sparsePageSize = 1 << sparsePageBits
+	sparsePageMask = sparsePageSize - 1
+)
 
 // SparseMem is a functional byte-addressable memory backed by a page map.
 // It stores data for the DRAM address space (staging buffers, kernel spill).
@@ -27,7 +31,7 @@ func (m *SparseMem) page(addr uint32, create bool) []byte {
 	pn := addr >> sparsePageBits
 	p := m.pages[pn]
 	if p == nil && create {
-		p = make([]byte, 1<<sparsePageBits)
+		p = make([]byte, sparsePageSize)
 		m.pages[pn] = p
 	}
 	return p
@@ -39,43 +43,85 @@ func (m *SparseMem) ByteAt(addr uint32) byte {
 	if p == nil {
 		return 0
 	}
-	return p[addr&(1<<sparsePageBits-1)]
+	return p[addr&sparsePageMask]
 }
 
 // SetByte stores b at addr.
 func (m *SparseMem) SetByte(addr uint32, b byte) {
-	m.page(addr, true)[addr&(1<<sparsePageBits-1)] = b
+	m.page(addr, true)[addr&sparsePageMask] = b
 }
 
-// Read returns size (1, 2 or 4) bytes at addr, little-endian.
+// inPage reports whether the n bytes at addr lie in one page (so they
+// neither cross a page boundary nor wrap the address space).
+func inPage(addr uint32, n int) bool {
+	return int(addr&sparsePageMask)+n <= sparsePageSize
+}
+
+// Read returns size (1, 2 or 4) bytes at addr, little-endian. An access
+// inside one page looks the page up once; one that straddles a page
+// boundary goes byte by byte.
 func (m *SparseMem) Read(addr uint32, size int) uint32 {
 	var v uint32
+	if inPage(addr, size) {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
+		off := addr & sparsePageMask
+		for i, b := range p[off : off+uint32(size)] {
+			v |= uint32(b) << (8 * i)
+		}
+		return v
+	}
 	for i := 0; i < size; i++ {
 		v |= uint32(m.ByteAt(addr+uint32(i))) << (8 * i)
 	}
 	return v
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
+// Write stores the low size bytes of v at addr, little-endian, with one
+// page lookup when the access stays inside a page.
 func (m *SparseMem) Write(addr uint32, size int, v uint32) {
+	if size <= 0 {
+		return
+	}
+	if inPage(addr, size) {
+		off := addr & sparsePageMask
+		p := m.page(addr, true)[off : off+uint32(size)]
+		for i := range p {
+			p[i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := 0; i < size; i++ {
 		m.SetByte(addr+uint32(i), byte(v>>(8*i)))
 	}
 }
 
-// ReadRange copies length bytes starting at addr into a new slice.
+// ReadRange copies length bytes starting at addr into a new slice, one page
+// lookup per page touched. Unwritten pages read as zero and are not
+// created.
 func (m *SparseMem) ReadRange(addr uint32, length int) []byte {
 	out := make([]byte, length)
-	for i := range out {
-		out[i] = m.ByteAt(addr + uint32(i))
+	for done := 0; done < length; {
+		a := addr + uint32(done)
+		off := int(a & sparsePageMask)
+		n := min(length-done, sparsePageSize-off)
+		if p := m.page(a, false); p != nil {
+			copy(out[done:done+n], p[off:])
+		}
+		done += n
 	}
 	return out
 }
 
-// WriteRange copies data into memory starting at addr.
+// WriteRange copies data into memory starting at addr, one page lookup per
+// page touched.
 func (m *SparseMem) WriteRange(addr uint32, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint32(i), b)
+	for done := 0; done < len(data); {
+		a := addr + uint32(done)
+		off := int(a & sparsePageMask)
+		done += copy(m.page(a, true)[off:], data[done:])
 	}
 }
 

@@ -81,3 +81,81 @@ func TestSparseMemRandomizedAgainstMap(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseMemWordAccessesAgainstBytes checks the one-lookup word paths
+// against a byte map at every alignment around page boundaries, including
+// accesses that straddle two pages and one that wraps the address space.
+func TestSparseMemWordAccessesAgainstBytes(t *testing.T) {
+	m := NewSparseMem()
+	ref := make(map[uint32]byte)
+	refRead := func(addr uint32, size int) uint32 {
+		var v uint32
+		for i := 0; i < size; i++ {
+			v |= uint32(ref[addr+uint32(i)]) << (8 * i)
+		}
+		return v
+	}
+	rng := rand.New(rand.NewSource(5))
+	bases := []uint32{0, 1 << sparsePageBits, 7 << sparsePageBits, 0xFFFF_F000, 0}
+	for round := 0; round < 4; round++ {
+		for _, base := range bases {
+			for off := -5; off <= 5; off++ {
+				addr := base + uint32(off)
+				for _, size := range []int{1, 2, 4} {
+					if rng.Intn(2) == 0 {
+						v := rng.Uint32()
+						m.Write(addr, size, v)
+						for i := 0; i < size; i++ {
+							ref[addr+uint32(i)] = byte(v >> (8 * i))
+						}
+					}
+					if got, want := m.Read(addr, size), refRead(addr, size); got != want {
+						t.Fatalf("Read(%#x, %d) = %#x, want %#x", addr, size, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, base := range bases {
+		addr := base - 3000
+		got := m.ReadRange(addr, 9000)
+		for i, b := range got {
+			if want := ref[addr+uint32(i)]; b != want {
+				t.Fatalf("ReadRange(%#x)[%d] = %#x, want %#x", addr, i, b, want)
+			}
+		}
+	}
+}
+
+// TestSparseMemReadsCreateNoPages pins that reads of unwritten memory —
+// inside a page, straddling two pages, or a range over several — return
+// zero and leave the footprint alone, while writes of either kind create
+// exactly the pages they touch.
+func TestSparseMemReadsCreateNoPages(t *testing.T) {
+	m := NewSparseMem()
+	page := uint32(1 << sparsePageBits)
+	if m.Read(5*page+8, 4) != 0 || m.Read(6*page-2, 4) != 0 || m.Read(0xFFFF_FFFE, 4) != 0 {
+		t.Fatal("unwritten memory does not read as zero")
+	}
+	for _, b := range m.ReadRange(3*page-10, int(3*page)) {
+		if b != 0 {
+			t.Fatal("unwritten range does not read as zero")
+		}
+	}
+	if m.Footprint() != 0 {
+		t.Fatalf("reads created pages: footprint %d", m.Footprint())
+	}
+	m.Write(9*page-2, 4, 0x11223344) // straddles pages 8 and 9
+	m.Write(20*page+4, 4, 1)
+	m.Write(30*page, 0, 1)                             // a zero-size write touches nothing
+	m.WriteRange(40*page-1, make([]byte, int(page)+2)) // pages 39, 40, 41
+	if want := 6 * int(page); m.Footprint() != want {
+		t.Fatalf("footprint %d, want %d", m.Footprint(), want)
+	}
+	if m.Read(8*page, 4) != 0 || m.Read(9*page+2, 2) != 0 {
+		t.Fatal("straddling write spilled outside its bytes")
+	}
+	if got := m.Read(9*page-1, 2); got != 0x2233 {
+		t.Fatalf("straddling read = %#x, want 0x2233", got)
+	}
+}

@@ -83,11 +83,52 @@ func DefaultConfig() Config {
 	return Config{LinkBandwidth: 8e9, LinkLatency: 5 * sim.Microsecond}
 }
 
+// kind returns the reqtrace kind of a conventional command ("io-read",
+// "io-write"; SLO objectives match it as their class): a constant for read
+// and write, so the per-command path builds no string.
+func (o Opcode) kind() string {
+	switch o {
+	case OpRead:
+		return "io-read"
+	case OpWrite:
+		return "io-write"
+	default:
+		return "io-" + o.String()
+	}
+}
+
 // Controller fronts one SSD with the NVMe command model.
 type Controller struct {
 	drive *ssd.SSD
 	link  *sim.BandwidthServer
 	cfg   Config
+	// free pools submission records so Submit allocates nothing per
+	// command once the pool covers the commands in flight.
+	free []*submission
+}
+
+// submission is one pending Submit: the command and its completion
+// callback, plus the event callback bound once to the record.
+type submission struct {
+	c      *Controller
+	req    IORequest
+	onDone func(IOCompletion)
+	fire   func(sim.Time) // s.run, bound when the record is created
+}
+
+// run services the command when its submission event fires. The record
+// returns to the pool before onDone runs, so a callback that submits the
+// next command reuses it.
+func (s *submission) run(now sim.Time) {
+	c, onDone := s.c, s.onDone
+	var slot IOCompletion
+	slot.Req = s.req
+	s.req, s.onDone = IORequest{}, nil
+	c.free = append(c.free, s)
+	c.execute(slot.Req, &slot, now)
+	if onDone != nil {
+		onDone(slot)
+	}
 }
 
 // New wraps an SSD (which must not have run an offload yet).
@@ -110,7 +151,7 @@ func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
 	tracer := c.drive.Opt.Requests
 	// RequestIDs are assigned at submission; the event fires exactly
 	// at SubmitAt, and event order is deterministic, so IDs are too.
-	tr := tracer.Begin("io-"+req.Op.String(), "", int64(now))
+	tr := tracer.Begin(req.Op.kind(), "", int64(now))
 	tr.SetTenant(req.Tenant)
 	switch req.Op {
 	case OpRead:
@@ -194,14 +235,17 @@ func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
 // retaining a completion slice. The drive's event queue must be driven (via
 // RunOffload or RunUntil) for the event to fire.
 func (c *Controller) Submit(req IORequest, onDone func(IOCompletion)) {
-	c.drive.Sched.Events.Schedule(req.SubmitAt, func(now sim.Time) {
-		var slot IOCompletion
-		slot.Req = req
-		c.execute(req, &slot, now)
-		if onDone != nil {
-			onDone(slot)
-		}
-	})
+	var s *submission
+	if n := len(c.free); n > 0 {
+		s = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		s = &submission{c: c}
+		s.fire = s.run
+	}
+	s.req, s.onDone = req, onDone
+	c.drive.Sched.Events.Schedule(req.SubmitAt, s.fire)
 }
 
 // scheduleIO queues the conventional commands as firmware events on the

@@ -353,11 +353,14 @@ type Tracer struct {
 	count       int64
 	latencySum  int64
 	latencyMax  int64
-	classTotals [5]int64         // exec-window stats deltas over all tasks
-	critTotals  map[string]int64 // summed critical segments by class
-	// critHists caches the per-class histograms so the steady state never
-	// rebuilds the "crit_<class>_ps" metric name (zero-alloc contract).
-	critHists map[string]*telemetry.Histogram
+	classTotals [5]int64 // exec-window stats deltas over all tasks
+	// crit holds one slot per critical-segment class in first-seen order:
+	// the summed durations and the cached "crit_<class>_ps" histogram, so
+	// the steady state neither hashes a class name nor rebuilds the metric
+	// name (zero-alloc contract). There are at most a dozen classes, and
+	// segment classes are package constants, so the linear scan usually
+	// settles each comparison on the length or the string pointer.
+	crit []critSlot
 
 	free []*Request
 	top  []*Request // latency desc, id asc
@@ -372,6 +375,13 @@ type Tracer struct {
 	OnAbort func(r *Request)
 }
 
+// critSlot accumulates one critical-segment class.
+type critSlot struct {
+	class string
+	total int64
+	hist  *telemetry.Histogram
+}
+
 // New returns a tracer registering its histograms on sink (a nil sink just
 // disables the histogram side; tracing still works).
 func New(sink *telemetry.Sink, cfg Config) *Tracer {
@@ -379,12 +389,22 @@ func New(sink *telemetry.Sink, cfg Config) *Tracer {
 		cfg.TopK = 8
 	}
 	return &Tracer{
-		cfg:        cfg,
-		sink:       sink,
-		lat:        sink.Histogram("req", "latency_ps"),
-		critTotals: make(map[string]int64),
-		critHists:  make(map[string]*telemetry.Histogram),
+		cfg:  cfg,
+		sink: sink,
+		lat:  sink.Histogram("req", "latency_ps"),
 	}
+}
+
+// critSlotOf returns class's accumulator, registering its histogram the
+// first time the class is seen.
+func (t *Tracer) critSlotOf(class string) *critSlot {
+	for i := range t.crit {
+		if t.crit[i].class == class {
+			return &t.crit[i]
+		}
+	}
+	t.crit = append(t.crit, critSlot{class: class, hist: t.sink.Histogram("req", "crit_"+class+"_ps")})
+	return &t.crit[len(t.crit)-1]
 }
 
 // Begin opens a request record at submitPs and assigns the next RequestID.
@@ -446,13 +466,9 @@ func (t *Tracer) Complete(r *Request, completePs int64) {
 	}
 	t.lat.Observe(lat)
 	for _, sg := range r.Critical {
-		t.critTotals[sg.Class] += sg.DurPs
-		h, ok := t.critHists[sg.Class]
-		if !ok {
-			h = t.sink.Histogram("req", "crit_"+sg.Class+"_ps")
-			t.critHists[sg.Class] = h
-		}
-		h.Observe(sg.DurPs)
+		cs := t.critSlotOf(sg.Class)
+		cs.total += sg.DurPs
+		cs.hist.Observe(sg.DurPs)
 	}
 	if t.OnComplete != nil {
 		t.OnComplete(r)
@@ -465,17 +481,12 @@ func (t *Tracer) Complete(r *Request, completePs int64) {
 // request wins, so retention is independent of completion interleaving.
 func (t *Tracer) retain(r *Request) {
 	k := t.cfg.TopK
-	pos := sort.Search(len(t.top), func(i int) bool {
-		o := t.top[i]
-		if o.LatencyPs != r.LatencyPs {
-			return o.LatencyPs < r.LatencyPs
-		}
-		return o.ID > r.ID
-	})
-	if pos >= k {
+	// Most requests rank below a full top-K set; they skip the search.
+	if n := len(t.top); n == k && !slower(r, t.top[n-1]) {
 		t.free = append(t.free, r)
 		return
 	}
+	pos := sort.Search(len(t.top), func(i int) bool { return slower(r, t.top[i]) })
 	t.top = append(t.top, nil)
 	copy(t.top[pos+1:], t.top[pos:])
 	t.top[pos] = r
@@ -485,6 +496,14 @@ func (t *Tracer) retain(r *Request) {
 		t.top = t.top[:len(t.top)-1]
 		t.free = append(t.free, evict)
 	}
+}
+
+// slower reports whether a ranks before b in the retained set.
+func slower(a, b *Request) bool {
+	if a.LatencyPs != b.LatencyPs {
+		return a.LatencyPs > b.LatencyPs
+	}
+	return a.ID < b.ID
 }
 
 // Count returns how many requests completed (0 on a nil tracer).
@@ -528,9 +547,9 @@ func (t *Tracer) Summary(label string) *Summary {
 		for i, c := range execClasses {
 			s.ClassTotalsPs[c] = t.classTotals[i]
 		}
-		s.CriticalTotalsPs = make(map[string]int64, len(t.critTotals))
-		for c, v := range t.critTotals {
-			s.CriticalTotalsPs[c] = v
+		s.CriticalTotalsPs = make(map[string]int64, len(t.crit))
+		for _, cs := range t.crit {
+			s.CriticalTotalsPs[cs.class] = cs.total
 		}
 	}
 	for _, r := range t.top {

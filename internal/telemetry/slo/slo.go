@@ -115,7 +115,7 @@ type objState struct {
 // goroutine; concurrent readers get immutable Status snapshots.
 type Engine struct {
 	win    *window.Windows
-	states []*objState
+	states []objState
 	evals  int64
 
 	// OnEval, when non-nil, is called on the simulation goroutine after
@@ -154,7 +154,7 @@ func New(cfg Config) (*Engine, error) {
 		if o.Name == "" {
 			return nil, fmt.Errorf("slo: objective %d has no name", i)
 		}
-		st := &objState{
+		st := objState{
 			obj:  o,
 			good: e.win.Rate(o.Name + "/good"),
 			bad:  e.win.Rate(o.Name + "/bad"),
@@ -187,7 +187,8 @@ func (e *Engine) ObserveRequest(nowPs int64, tenant, class string, latencyPs int
 	if e == nil {
 		return
 	}
-	for _, st := range e.states {
+	for i := range e.states {
+		st := &e.states[i]
 		o := &st.obj
 		if o.Tenant != "" && o.Tenant != tenant {
 			continue
@@ -222,7 +223,8 @@ func (st *objState) burn(spanPs int64) float64 {
 // Transitions are recorded with the boundary time, so alert history is
 // deterministic sim-time data.
 func (e *Engine) evaluate(boundaryPs int64) {
-	for _, st := range e.states {
+	for si := range e.states {
+		st := &e.states[si]
 		for i := range st.alerts {
 			a := &st.alerts[i]
 			a.burnLong = st.burn(a.rule.LongPs)
@@ -311,7 +313,8 @@ func (e *Engine) Status(nowPs int64) *Status {
 	}
 	e.win.Advance(nowPs)
 	out := &Status{NowPs: nowPs, WindowPs: e.win.WindowPs(), BucketPs: e.win.BucketPs()}
-	for _, st := range e.states {
+	for si := range e.states {
+		st := &e.states[si]
 		good, bad := st.good.Total(), st.bad.Total()
 		os := ObjectiveStatus{
 			Objective:  st.obj,

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -148,12 +149,22 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Reset clears the histogram back to empty. Rolling-window aggregation
-// reuses ring slots through it without reallocating.
+// reuses ring slots through it without reallocating, so it clears only the
+// buckets in use: every sample lies in [min, max], so no bucket outside
+// bucketOf(min)..bucketOf(max) is nonzero.
 func (h *Histogram) Reset() {
-	if h == nil {
+	if h == nil || h.count == 0 {
 		return
 	}
-	*h = Histogram{}
+	lo, hi := h.usedBuckets()
+	clear(h.buckets[lo:hi])
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+}
+
+// usedBuckets returns the half-open index range holding every nonzero
+// bucket of a non-empty histogram.
+func (h *Histogram) usedBuckets() (lo, hi int) {
+	return bucketOf(h.min), bucketOf(h.max) + 1
 }
 
 // Absorb merges other's samples into h (bucket-wise sum, min of min, max of
@@ -164,8 +175,9 @@ func (h *Histogram) Absorb(other *Histogram) {
 	if h == nil || other == nil || other.count == 0 {
 		return
 	}
-	for i, n := range other.buckets {
-		h.buckets[i] += n
+	lo, hi := other.usedBuckets()
+	for i := lo; i < hi; i++ {
+		h.buckets[i] += other.buckets[i]
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min
@@ -177,16 +189,13 @@ func (h *Histogram) Absorb(other *Histogram) {
 	}
 }
 
+// bucketOf returns the bucket index of v: 0 for v <= 0, else the bit
+// length of v, so that 2^(i-1) <= v < 2^i.
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 1
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
+	return bits.Len64(uint64(v))
 }
 
 // bucketBounds returns bucket i's half-open value range [lo, hi) as floats

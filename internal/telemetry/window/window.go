@@ -65,6 +65,7 @@ type Windows struct {
 
 	started bool
 	epoch   int64 // absolute index of the current bucket (time/bucketPs)
+	cur     int   // ring index of the current bucket (epoch mod n)
 	firstPs int64 // start of the first observed bucket
 	nextPs  int64 // next rotation boundary (the Advance fast-path guard)
 
@@ -127,6 +128,7 @@ func (w *Windows) advanceSlow(nowPs int64) {
 	if !w.started {
 		w.started = true
 		w.epoch = newEpoch
+		w.cur = int(newEpoch % int64(w.n))
 		w.firstPs = newEpoch * w.bucketPs
 		w.nextPs = (newEpoch + 1) * w.bucketPs
 		return
@@ -137,24 +139,36 @@ func (w *Windows) advanceSlow(nowPs int64) {
 		// at the oldest epoch still inside the new window.
 		from = newEpoch - int64(w.n) + 1
 	}
+	slot := int(from % int64(w.n))
 	for e := from; e <= newEpoch; e++ {
-		slot := int(e % int64(w.n))
 		for _, r := range w.rates {
-			r.slots[slot] = 0
+			r.starts[slot] = r.total
 		}
 		for _, h := range w.hists {
+			h.retired.Absorb(&h.slots[slot])
 			h.slots[slot].Reset()
 		}
 		w.epoch = e
+		w.cur = slot
 		w.nextPs = (e + 1) * w.bucketPs
 		if w.OnRotate != nil {
 			w.OnRotate(e * w.bucketPs)
 		}
+		if slot++; slot == w.n {
+			slot = 0
+		}
 	}
 }
 
-// slot returns the ring index of the current bucket.
-func (w *Windows) slot() int { return int(w.epoch % int64(w.n)) }
+// back returns the ring index of the bucket j buckets before the current
+// one (0 <= j < n), without a modulo.
+func (w *Windows) back(j int) int {
+	i := w.cur - j
+	if i < 0 {
+		i += w.n
+	}
+	return i
+}
 
 // register enforces unique metric names within the domain.
 func (w *Windows) register(name string) {
@@ -171,7 +185,7 @@ func (w *Windows) Rate(name string) *Rate {
 		return nil
 	}
 	w.register(name)
-	r := &Rate{w: w, name: name, slots: make([]int64, w.n)}
+	r := &Rate{w: w, name: name, starts: make([]int64, w.n)}
 	w.rates = append(w.rates, r)
 	return r
 }
@@ -212,13 +226,16 @@ func (w *Windows) spanBuckets(spanPs int64) int {
 	return k
 }
 
-// Rate is a windowed counter: per-bucket counts over the ring plus a
-// cumulative total. Nil-safe.
+// Rate is a windowed counter: a cumulative total plus, per ring bucket, the
+// total at the moment the bucket opened, so the count over any trailing
+// run of buckets is one subtraction. A slot never rotated into holds 0,
+// the total before any event, so buckets before the first one read as
+// empty. Nil-safe.
 type Rate struct {
-	w     *Windows
-	name  string
-	slots []int64
-	total int64
+	w      *Windows
+	name   string
+	starts []int64
+	total  int64
 }
 
 // Add records n events at nowPs.
@@ -227,7 +244,6 @@ func (r *Rate) Add(nowPs, n int64) {
 		return
 	}
 	r.w.Advance(nowPs)
-	r.slots[r.w.slot()] += n
 	r.total += n
 }
 
@@ -239,11 +255,7 @@ func (r *Rate) WindowCount() int64 {
 	if r == nil {
 		return 0
 	}
-	var sum int64
-	for _, v := range r.slots {
-		sum += v
-	}
-	return sum
+	return r.total - r.starts[r.w.back(r.w.n-1)]
 }
 
 // Last sums the events in the trailing spanPs of the window (rounded up to
@@ -253,16 +265,7 @@ func (r *Rate) Last(spanPs int64) int64 {
 	if r == nil {
 		return 0
 	}
-	w := r.w
-	k := w.spanBuckets(spanPs)
-	var sum int64
-	for e := w.epoch - int64(k) + 1; e <= w.epoch; e++ {
-		if e < 0 {
-			continue
-		}
-		sum += r.slots[int(e%int64(w.n))]
-	}
-	return sum
+	return r.total - r.starts[r.w.back(r.w.spanBuckets(spanPs)-1)]
 }
 
 // LastClosed sums the events in the trailing spanPs of *closed* buckets —
@@ -274,19 +277,9 @@ func (r *Rate) LastClosed(spanPs int64) int64 {
 		return 0
 	}
 	w := r.w
-	k := w.spanBuckets(spanPs)
-	if k > w.n-1 {
-		// Only n-1 closed buckets exist distinctly from the current slot.
-		k = w.n - 1
-	}
-	var sum int64
-	for e := w.epoch - int64(k); e <= w.epoch-1; e++ {
-		if e < 0 {
-			continue
-		}
-		sum += r.slots[int(e%int64(w.n))]
-	}
-	return sum
+	// Only n-1 closed buckets exist distinctly from the current slot.
+	k := min(w.spanBuckets(spanPs), w.n-1)
+	return r.starts[w.cur] - r.starts[w.back(k)]
 }
 
 // Total returns the cumulative count since construction.
@@ -324,25 +317,26 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Hist is a windowed histogram: one telemetry.Histogram per ring bucket
-// plus a cumulative histogram over the whole run. Nil-safe.
+// Hist is a windowed histogram: one telemetry.Histogram per ring bucket,
+// plus the samples of every bucket that has left the ring, folded in at
+// rotation. The run-cumulative histogram is the two together, folded on
+// read, so a sample costs one bucket Observe. Nil-safe.
 type Hist struct {
 	w       *Windows
 	name    string
 	slots   []telemetry.Histogram
-	cum     telemetry.Histogram
-	scratch telemetry.Histogram
+	retired telemetry.Histogram
+	cum     telemetry.Histogram // Cumulative's fold
+	scratch telemetry.Histogram // Last's fold
 }
 
-// Observe records one sample at nowPs into the current bucket and the
-// cumulative histogram.
+// Observe records one sample at nowPs into the current bucket.
 func (h *Hist) Observe(nowPs, v int64) {
 	if h == nil {
 		return
 	}
 	h.w.Advance(nowPs)
-	h.slots[h.w.slot()].Observe(v)
-	h.cum.Observe(v)
+	h.slots[h.w.cur].Observe(v)
 }
 
 // Window folds the ring into the reused scratch histogram and returns it:
@@ -362,22 +356,25 @@ func (h *Hist) Last(spanPs int64) *telemetry.Histogram {
 	if h == nil {
 		return nil
 	}
-	w := h.w
 	h.scratch.Reset()
-	k := w.spanBuckets(spanPs)
-	for e := w.epoch - int64(k) + 1; e <= w.epoch; e++ {
-		if e < 0 {
-			continue
-		}
-		h.scratch.Absorb(&h.slots[int(e%int64(w.n))])
+	// Absorb is order-independent; slots of buckets before the first one
+	// were never written and absorb as no-ops.
+	for j := h.w.spanBuckets(spanPs) - 1; j >= 0; j-- {
+		h.scratch.Absorb(&h.slots[h.w.back(j)])
 	}
 	return &h.scratch
 }
 
-// Cumulative returns the run-cumulative histogram (nil on a nil receiver).
+// Cumulative folds the retired buckets and the ring into a reused histogram
+// and returns it: every sample since construction. The pointer is
+// invalidated by the next Cumulative call. Returns nil on a nil receiver.
 func (h *Hist) Cumulative() *telemetry.Histogram {
 	if h == nil {
 		return nil
+	}
+	h.cum = h.retired
+	for i := range h.slots {
+		h.cum.Absorb(&h.slots[i])
 	}
 	return &h.cum
 }
@@ -448,7 +445,7 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.v})
 	}
 	for _, h := range w.hists {
-		win := h.Window()
+		win, cum := h.Window(), h.Cumulative()
 		snap.Hists = append(snap.Hists, HistSnapshot{
 			Name:        h.name,
 			WindowCount: win.Count(),
@@ -456,8 +453,8 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 			P95Ps:       win.Percentile(0.95),
 			P99Ps:       win.Percentile(0.99),
 			MaxPs:       win.MaxValue(),
-			TotalCount:  h.cum.Count(),
-			TotalP99Ps:  h.cum.Percentile(0.99),
+			TotalCount:  cum.Count(),
+			TotalP99Ps:  cum.Percentile(0.99),
 		})
 	}
 	sort.Slice(snap.Rates, func(i, j int) bool { return snap.Rates[i].Name < snap.Rates[j].Name })

@@ -34,5 +34,9 @@ go test ./internal/cpu/ -run 'TestKProfDisabledZeroAlloc' -count 1
 # engine's per-request observation path is allocation-free.
 go test ./internal/telemetry/window/ -run 'TestWindowTickZeroAlloc|TestNilWindowsZeroCost' -count 1
 go test ./internal/telemetry/slo/ -run 'TestObserveRequestZeroAlloc' -count 1
+# The conventional-IO half: with a tracer, an SLO engine and a pre-bound
+# completion callback attached, one NVMe read or write command
+# (Submit -> execute -> Complete -> ObserveRequest) allocates nothing.
+go test ./internal/nvme/ -run 'TestSubmitSteadyStateZeroAlloc' -count 1
 
 echo "alloc-gate: hot paths are allocation-free"
